@@ -73,8 +73,10 @@ struct AbsState {
 /// Merges `from` into `*into`. Returns false (bracket conflict) when the
 /// two paths disagree on open Enter / op frames — the VM's profile and
 /// timer stacks would diverge. Sets `*changed` when `*into` moved.
+/// `loop_head` marks a join at a kLoopHead, where growing counter bounds
+/// are widened.
 bool Join(AbsState* into, const AbsState& from, size_t num_regions,
-          bool* changed) {
+          bool loop_head, bool* changed) {
   if (into->brackets != from.brackets || into->op_depth != from.op_depth) {
     return false;
   }
@@ -109,9 +111,14 @@ bool Join(AbsState* into, const AbsState& from, size_t num_regions,
     const Interval& other = from.ival[r];
     int64_t lo = std::min(iv.lo, other.lo);
     int64_t hi = std::max(iv.hi, other.hi);
-    // Widen once the upper bound escapes the region space: the only
-    // interesting fact is i < |Reg|, so anything beyond is just "unbounded".
-    if (hi != kUnbounded && hi > static_cast<int64_t>(num_regions) + 8) {
+    // Widen once the upper bound escapes the region space — the only
+    // interesting fact is i < |Reg| — and at a loop head as soon as it
+    // grows at all: the head's body edge re-establishes i < |Reg| by
+    // clamping, while growing one step per visit would walk every loop
+    // |Reg| times (nested loops, |Reg|^2) before the bound escaped.
+    if (hi != kUnbounded &&
+        ((loop_head && hi > iv.hi) ||
+         hi > static_cast<int64_t>(num_regions) + 8)) {
       hi = kUnbounded;
     }
     if (lo != iv.lo || hi != iv.hi) {
@@ -546,7 +553,8 @@ class ProcDataflow {
       return;
     }
     bool changed = false;
-    if (!Join(&states_[target], state, program_.num_regions, &changed)) {
+    if (!Join(&states_[target], state, program_.num_regions,
+              proc_.code[target].op == VmOp::kLoopHead, &changed)) {
       status_ = FailAt(proc_id_, target, proc_.code[target],
                        "inconsistent memo bracket depth at join");
       return;
@@ -830,30 +838,21 @@ Status CheckSideTables(const BytecodeProgram& p) {
       }
     }
   }
+  auto check_leaves = [&](const char* kind, size_t i,
+                          const std::vector<uint32_t>& leaves) {
+    for (uint32_t leaf : leaves) {
+      if (leaf >= p.leaf_sites.size()) {
+        return Fail(std::string(kind) + " site " + std::to_string(i) +
+                    ": leaf site id out of range");
+      }
+    }
+    return Status::Ok();
+  };
   for (size_t i = 0; i < p.fixpoint_sites.size(); ++i) {
     const VmFixpointSite& site = p.fixpoint_sites[i];
-    if (site.body_proc >= p.procs.size()) {
+    if (site.arg_slots.empty()) {
       return Fail("fixpoint site " + std::to_string(i) +
-                  ": proc id out of range");
-    }
-    if (p.procs[site.body_proc].symbolic) {
-      return Fail("fixpoint site " + std::to_string(i) +
-                  ": body proc must be boolean");
-    }
-    if (site.set_slot >= set_slots) {
-      return Fail("fixpoint site " + std::to_string(i) +
-                  ": set slot out of range");
-    }
-    if (site.bound_slots.empty() ||
-        site.arg_slots.size() != site.bound_slots.size()) {
-      return Fail("fixpoint site " + std::to_string(i) +
-                  ": arity mismatch between bound and argument slots");
-    }
-    for (uint32_t slot : site.bound_slots) {
-      if (slot >= region_slots) {
-        return Fail("fixpoint site " + std::to_string(i) +
-                    ": region slot out of range");
-      }
+                  ": no argument slots");
     }
     for (uint32_t slot : site.arg_slots) {
       if (slot >= region_slots) {
@@ -861,32 +860,48 @@ Status CheckSideTables(const BytecodeProgram& p) {
                     ": region slot out of range");
       }
     }
+    LCDB_RETURN_IF_ERROR(check_leaves("fixpoint", i, site.leaves));
   }
   for (size_t i = 0; i < p.closure_sites.size(); ++i) {
     const VmClosureSite& site = p.closure_sites[i];
-    if (site.body_proc >= p.procs.size()) {
-      return Fail("closure site " + std::to_string(i) +
-                  ": proc id out of range");
-    }
-    if (p.procs[site.body_proc].symbolic) {
-      return Fail("closure site " + std::to_string(i) +
-                  ": body proc must be boolean");
-    }
     if (site.arg_slots.empty() ||
-        site.arg_slots.size() != site.arg2_slots.size() ||
-        site.bound_slots.size() !=
-            site.arg_slots.size() + site.arg2_slots.size()) {
+        site.arg_slots.size() != site.arg2_slots.size()) {
       return Fail("closure site " + std::to_string(i) +
-                  ": arity mismatch between bound and argument slots");
+                  ": arity mismatch between the argument tuples");
     }
-    for (const auto* slots :
-         {&site.bound_slots, &site.arg_slots, &site.arg2_slots}) {
+    for (const auto* slots : {&site.arg_slots, &site.arg2_slots}) {
       for (uint32_t slot : *slots) {
         if (slot >= region_slots) {
           return Fail("closure site " + std::to_string(i) +
                       ": region slot out of range");
         }
       }
+    }
+    LCDB_RETURN_IF_ERROR(check_leaves("closure", i, site.leaves));
+  }
+  for (size_t i = 0; i < p.leaf_sites.size(); ++i) {
+    const VmLeafSite& site = p.leaf_sites[i];
+    if (site.proc >= p.procs.size()) {
+      return Fail("leaf site " + std::to_string(i) + ": proc id out of range");
+    }
+    if (p.procs[site.proc].symbolic) {
+      return Fail("leaf site " + std::to_string(i) +
+                  ": leaf proc must be boolean");
+    }
+    if (site.node == nullptr ||
+        site.region_slots.size() != site.node->free_region.size()) {
+      return Fail("leaf site " + std::to_string(i) +
+                  ": slots do not match the leaf's free variables");
+    }
+    for (uint32_t slot : site.region_slots) {
+      if (slot >= region_slots) {
+        return Fail("leaf site " + std::to_string(i) +
+                    ": region slot out of range");
+      }
+    }
+    if (site.reads_set && site.set_slot >= set_slots) {
+      return Fail("leaf site " + std::to_string(i) +
+                  ": set slot out of range");
     }
   }
   for (size_t i = 0; i < p.rbit_sites.size(); ++i) {
@@ -909,10 +924,14 @@ void AppendCallees(const BytecodeProgram& p, const VmInstr& in,
       out->push_back(in.imm);
       break;
     case VmOp::kFixpointMember:
-      out->push_back(p.fixpoint_sites[in.imm].body_proc);
+      for (uint32_t leaf : p.fixpoint_sites[in.imm].leaves) {
+        out->push_back(p.leaf_sites[leaf].proc);
+      }
       break;
     case VmOp::kClosureMember:
-      out->push_back(p.closure_sites[in.imm].body_proc);
+      for (uint32_t leaf : p.closure_sites[in.imm].leaves) {
+        out->push_back(p.leaf_sites[leaf].proc);
+      }
       break;
     default:
       break;

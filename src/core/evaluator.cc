@@ -1002,6 +1002,8 @@ MetricsSnapshot Evaluator::Stats::ToMetrics() const {
   registry.Count("evaluator.bool_evaluations", bool_evaluations);
   registry.Count("evaluator.memo_hits", memo_hits);
   registry.Count("evaluator.fixpoint_iterations", fixpoint_iterations);
+  registry.Count("evaluator.fixpoint_delta_tuples", fixpoint_delta_tuples);
+  registry.Count("evaluator.relation_word_ops", relation_word_ops);
   registry.Count("evaluator.fixpoints_computed", fixpoints_computed);
   registry.Count("evaluator.closures_computed", closures_computed);
   registry.Count("evaluator.qe_eliminations", qe_eliminations);

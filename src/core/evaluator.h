@@ -31,7 +31,13 @@ struct QueryAnswer {
   DnfFormula formula = DnfFormula::False(0);
   std::vector<std::string> free_vars;
 
-  std::string ToString() const { return formula.ToString(free_vars); }
+  /// Exact-size: callers keep answers (per-round histories, logs), so the
+  /// builder's growth slack is released.
+  std::string ToString() const {
+    std::string out = formula.ToString(free_vars);
+    out.shrink_to_fit();
+    return out;
+  }
 };
 
 /// Evaluator for RegFO / RegLFP / RegIFP / RegPFP / RegTC / RegDTC queries
@@ -108,6 +114,13 @@ class Evaluator {
     size_t bool_evaluations = 0;
     size_t memo_hits = 0;
     size_t fixpoint_iterations = 0;
+    /// Tuples the fixpoint stages changed, summed over stages (the per-stage
+    /// deltas of the set-at-a-time engine, plan/region_relations.h).
+    size_t fixpoint_delta_tuples = 0;
+    /// 64-bit word operations the set-at-a-time engine performed on its
+    /// bitset relations (its unit of work, as bool_evaluations is the tree
+    /// walk's).
+    size_t relation_word_ops = 0;
     size_t fixpoints_computed = 0;
     size_t closures_computed = 0;
     size_t qe_eliminations = 0;

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace lcdb {
@@ -113,10 +115,41 @@ class QueryParser {
   Result<FormulaPtr> Parse() {
     LCDB_ASSIGN_OR_RETURN(FormulaPtr f, ParseIff());
     if (!AtEnd()) return Error("unexpected trailing input");
+    // Left-associative chains (a & b & ...) nest the AST without nesting
+    // the parser's recursion, so the tree is measured too — iteratively.
+    std::vector<std::pair<const FormulaNode*, size_t>> stack = {{f.get(), 1}};
+    while (!stack.empty()) {
+      auto [node, depth] = stack.back();
+      stack.pop_back();
+      if (depth > kMaxQueryNesting) return NestingError();
+      for (const auto& child : node->children) {
+        if (child != nullptr) stack.emplace_back(child.get(), depth + 1);
+      }
+    }
     return f;
   }
 
  private:
+  /// One level of parser recursion; `ok()` is false past the limit.
+  class NestingLevel {
+   public:
+    explicit NestingLevel(size_t* depth) : depth_(depth) { ++*depth_; }
+    ~NestingLevel() { --*depth_; }
+    NestingLevel(const NestingLevel&) = delete;
+    NestingLevel& operator=(const NestingLevel&) = delete;
+    bool ok() const { return *depth_ <= kMaxQueryNesting; }
+
+   private:
+    size_t* depth_;
+  };
+
+  Status NestingError() const {
+    return Status::ParseError("query nesting exceeds the limit of " +
+                              std::to_string(kMaxQueryNesting) +
+                              " levels near offset " +
+                              std::to_string(Cur().offset));
+  }
+
   const Token& Cur() const { return tokens_[pos_]; }
   const Token& Ahead(size_t k) const {
     return tokens_[std::min(pos_ + k, tokens_.size() - 1)];
@@ -190,6 +223,8 @@ class QueryParser {
     const size_t begin = StartOffset();
     LCDB_ASSIGN_OR_RETURN(FormulaPtr f, ParseOr());
     if (ConsumeSymbol("->")) {
+      NestingLevel level(&depth_);  // right-associative: recurses per arrow
+      if (!level.ok()) return NestingError();
       LCDB_ASSIGN_OR_RETURN(FormulaPtr g, ParseImplies());  // right assoc
       return Span(MakeImplies(std::move(f), std::move(g)), begin);
     }
@@ -217,6 +252,8 @@ class QueryParser {
   }
 
   Result<FormulaPtr> ParseUnary() {
+    NestingLevel level(&depth_);
+    if (!level.ok()) return NestingError();
     const size_t begin = StartOffset();
     if (ConsumeSymbol("!")) {
       LCDB_ASSIGN_OR_RETURN(FormulaPtr f, ParseUnary());
@@ -566,7 +603,11 @@ class QueryParser {
   }
 
   Result<ElementTerm> ParseTermFactor(bool negated) {
-    if (ConsumeSymbol("-")) return ParseTermFactor(!negated);
+    if (ConsumeSymbol("-")) {
+      NestingLevel level(&depth_);
+      if (!level.ok()) return NestingError();
+      return ParseTermFactor(!negated);
+    }
     Rational coeff(1);
     bool saw_number = false;
     if (Cur().kind == TokenKind::kNumber) {
@@ -605,6 +646,7 @@ class QueryParser {
   std::vector<Token> tokens_;
   std::string relation_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  ///< current parser recursion (NestingLevel)
 };
 
 }  // namespace

@@ -20,9 +20,10 @@ struct PlanNode;
 /// only ever hold complete entries. The resume layer preserves that paid-for
 /// work across the interrupt instead. While an Evaluate call runs, a
 /// thread-local ResumeCollector (the same ambient-install idiom as
-/// ScopedKernel / ScopedGovernor / ScopedTracer) observes the three fixpoint
-/// engines — the legacy walk (core/fixpoint.cc), the plan-tree executor
-/// (plan/executor.cc) and the bytecode VM (plan/vm.cc). When an interrupt
+/// ScopedKernel / ScopedGovernor / ScopedTracer) observes the two fixpoint
+/// engines — the legacy walk (core/fixpoint.cc) and the set-at-a-time engine
+/// both plan backends share (plan/region_relations.cc), which converts its
+/// bitset relations to tuple sets at this boundary. When an interrupt
 /// unwinds, each engine deposits:
 ///
 ///  * every *completed* fixpoint set and closure matrix (harvested from the

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 
+#include "plan/region_relations.h"
 #include "util/status.h"
 
 namespace lcdb {
@@ -447,11 +448,11 @@ class Lowerer {
         break;
       }
       case PlanOp::kFixpointMember: {
+        // The set itself is computed by the set-at-a-time engine; only the
+        // body's opaque leaves are lowered, as procs it calls back into.
         VmFixpointSite site;
-        site.body_proc = ProcFor(*node.children[0], /*symbolic=*/false);
-        site.set_slot = SetSlot(node.set_var);
-        site.bound_slots = Slots(node.bound_vars);
         site.arg_slots = Slots(node.region_args);
+        site.leaves = LeafSites(*node.children[0]);
         program_.fixpoint_sites.push_back(std::move(site));
         Emit(VmOp::kFixpointMember, dest, 0, 0,
              static_cast<uint32_t>(program_.fixpoint_sites.size() - 1),
@@ -460,10 +461,9 @@ class Lowerer {
       }
       case PlanOp::kClosureMember: {
         VmClosureSite site;
-        site.body_proc = ProcFor(*node.children[0], /*symbolic=*/false);
-        site.bound_slots = Slots(node.bound_vars);
         site.arg_slots = Slots(node.region_args);
         site.arg2_slots = Slots(node.region_args2);
+        site.leaves = LeafSites(*node.children[0]);
         program_.closure_sites.push_back(std::move(site));
         Emit(VmOp::kClosureMember, dest, 0, 0,
              static_cast<uint32_t>(program_.closure_sites.size() - 1), &node);
@@ -498,6 +498,32 @@ class Lowerer {
 
   uint32_t NextIcache() { return next_icache_++; }
 
+  /// Leaf-site ids of the opaque leaves of a member body, each lowered to a
+  /// boolean proc on first request.
+  std::vector<uint32_t> LeafSites(const PlanNode& body) {
+    std::vector<const PlanNode*> leaves;
+    CollectOpaqueRegionLeaves(body, program_.num_regions, &leaves);
+    std::vector<uint32_t> ids;
+    for (const PlanNode* leaf : leaves) {
+      auto it = leaf_ids_.find(leaf);
+      if (it == leaf_ids_.end()) {
+        VmLeafSite site;
+        site.node = leaf;
+        site.proc = ProcFor(*leaf, /*symbolic=*/false);
+        site.region_slots = Slots(leaf->free_region);
+        site.reads_set = !leaf->free_sets.empty();
+        if (site.reads_set) site.set_slot = SetSlot(leaf->free_sets[0]);
+        program_.leaf_sites.push_back(std::move(site));
+        it = leaf_ids_
+                 .emplace(leaf, static_cast<uint32_t>(
+                                    program_.leaf_sites.size() - 1))
+                 .first;
+      }
+      ids.push_back(it->second);
+    }
+    return ids;
+  }
+
   const CompiledPlan& plan_;
   BytecodeProgram program_;
   std::vector<ProcBuild> builds_;
@@ -506,6 +532,7 @@ class Lowerer {
   std::map<const PlanNode*, int> node_ids_;
   std::map<const PlanNode*, uint32_t> proc_ids_;
   std::map<const PlanNode*, uint32_t> memo_ids_;
+  std::map<const PlanNode*, uint32_t> leaf_ids_;
   std::set<std::string> region_names_;
   std::set<std::string> set_names_;
   std::map<std::string, uint32_t> region_slots_;
@@ -542,6 +569,16 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
     return slot < program.region_slot_names.size()
                ? program.region_slot_names[slot]
                : "?";
+  };
+  auto leaves = [&](const std::vector<uint32_t>& ids) {
+    std::string text = " leaves={";
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (i > 0) text += ",";
+      text += ids[i] < program.leaf_sites.size()
+                  ? "proc" + std::to_string(program.leaf_sites[ids[i]].proc)
+                  : "?";
+    }
+    return text + "}";
   };
 
   std::string out;
@@ -631,13 +668,13 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
           break;
         case VmOp::kFixpointMember:
           line += "b" + std::to_string(in.a) + " site=f" +
-                  std::to_string(in.imm) + " body=proc" +
-                  std::to_string(program.fixpoint_sites[in.imm].body_proc);
+                  std::to_string(in.imm) +
+                  leaves(program.fixpoint_sites[in.imm].leaves);
           break;
         case VmOp::kClosureMember:
           line += "b" + std::to_string(in.a) + " site=c" +
-                  std::to_string(in.imm) + " body=proc" +
-                  std::to_string(program.closure_sites[in.imm].body_proc);
+                  std::to_string(in.imm) +
+                  leaves(program.closure_sites[in.imm].leaves);
           break;
         case VmOp::kRbitFinish:
           line += "b" + std::to_string(in.a) + " s" + std::to_string(in.b) +

@@ -57,7 +57,7 @@ enum class VmOp : uint8_t {
   kEqBool,          ///< b[a] = (b[a] == b[b])
   kRegionAtom,      ///< b[a] = atom(node->source_kind, renv[b] [, renv[c]])
   kSetMember,       ///< b[a] = tuple(list imm) in senv[b]'s current stage
-  kFixpointMember,  ///< b[a] = tuple in FixpointSet(site imm)
+  kFixpointMember,  ///< b[a] = tuple in the engine's fixpoint set (site imm)
   kClosureMember,   ///< b[a] = closure(site imm)[from][to]
   kRbitFinish,      ///< b[a] = rBIT verdict of body s[b]; site imm, icache c
   kNonEmpty,        ///< b[a] = !s[b].IsEmpty(); inline cache slot c
@@ -74,7 +74,7 @@ enum class VmOp : uint8_t {
   // ---- Operator accounting (ScopedOpTimer / counter brackets).
   kBeginOp,  ///< imm = OpFlags; timed ops push a timer + trace span
   kEndOp,    ///< pops the matching timer, records into op_timings
-  // ---- Procedures (shared CSE nodes; fixpoint / closure bodies).
+  // ---- Procedures (shared CSE nodes; opaque leaves of member bodies).
   kCallSym,   ///< s[a] = result reg 0 of proc imm
   kCallBool,  ///< b[a] = result reg 0 of proc imm
   kRet,       ///< return from proc (result is frame-local reg 0)
@@ -111,22 +111,32 @@ struct VmMemoDesc {
 /// Region-slot operands of a kSetMember tuple (arbitrary arity).
 using VmSlotList = std::vector<uint32_t>;
 
-/// Payload of one kFixpointMember site: the boolean body proc plus the
-/// slots the native Kleene loop writes (bound tuple, set binding) and reads
-/// (applied arguments).
-struct VmFixpointSite {
-  uint32_t body_proc = 0;
-  uint32_t set_slot = 0;
-  std::vector<uint32_t> bound_slots;
-  std::vector<uint32_t> arg_slots;
+/// One opaque leaf of a fixpoint or closure body (plan/region_relations.h):
+/// a node the set-at-a-time engine evaluates tuple-at-a-time by calling
+/// back into the VM, which binds the leaf's free region variables (and the
+/// enclosing set variable, when the leaf reads it) and runs `proc`.
+struct VmLeafSite {
+  const PlanNode* node = nullptr;
+  uint32_t proc = 0;
+  std::vector<uint32_t> region_slots;  ///< node->free_region order
+  bool reads_set = false;
+  uint32_t set_slot = 0;               ///< valid when reads_set
 };
 
-/// Payload of one kClosureMember site (bound_slots holds both m-tuples).
+/// Payload of one kFixpointMember site: the applied arguments and the
+/// opaque leaves (leaf_sites ids) the engine may call back for while
+/// computing the set.
+struct VmFixpointSite {
+  std::vector<uint32_t> arg_slots;
+  std::vector<uint32_t> leaves;
+};
+
+/// Payload of one kClosureMember site: both applied tuples and the body's
+/// opaque leaves.
 struct VmClosureSite {
-  uint32_t body_proc = 0;
-  std::vector<uint32_t> bound_slots;
   std::vector<uint32_t> arg_slots;
   std::vector<uint32_t> arg2_slots;
+  std::vector<uint32_t> leaves;
 };
 
 /// Payload of one kRbitFinish site: the region slots of (R_n, R_d).
@@ -136,8 +146,8 @@ struct VmRbitSite {
 };
 
 /// One procedure: the main program (proc 0), one proc per CSE-shared plan
-/// node, and one boolean proc per fixpoint / closure body (invoked natively
-/// from inside the member instructions). Jumps are within-proc indices;
+/// node, and one boolean proc per opaque leaf of a fixpoint / closure body
+/// (invoked by the set-at-a-time engine behind the member instructions). Jumps are within-proc indices;
 /// the result convention is frame-local register 0.
 struct VmProc {
   std::vector<VmInstr> code;
@@ -159,6 +169,7 @@ struct BytecodeProgram {
   std::vector<VmSlotList> slot_lists;
   std::vector<VmFixpointSite> fixpoint_sites;
   std::vector<VmClosureSite> closure_sites;
+  std::vector<VmLeafSite> leaf_sites;
   std::vector<VmRbitSite> rbit_sites;
   size_t num_icache_slots = 0;
   size_t num_columns = 0;

@@ -2,13 +2,14 @@
 #define LCDB_PLAN_EXECUTOR_H_
 
 #include <map>
-#include <set>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/evaluator.h"
 #include "db/region_extension.h"
 #include "plan/plan_ir.h"
+#include "plan/region_relations.h"
 
 namespace lcdb {
 
@@ -24,11 +25,16 @@ namespace lcdb {
 /// MarkCacheable pass — keyed by the values of the node's free region
 /// variables plus the stage versions of its free set variables.
 ///
+/// Fixpoint and closure members are bit tests against relations computed
+/// set-at-a-time by a RegionRelationEngine (plan/region_relations.h), the
+/// implementation the bytecode VM shares; the engine calls back into this
+/// executor only for opaque leaves of their bodies.
+///
 /// The executor is single-query: construct, call Run() once, read the
 /// updated stats. Expensive operators (QE, region expansion, hull,
 /// fixpoints, closures, rBIT) report wall-clock per-operator timings into
 /// Stats::op_timings.
-class PlanExecutor {
+class PlanExecutor : private RegionLeafEvaluator {
  public:
   PlanExecutor(const CompiledPlan& plan, const RegionExtension& ext,
                const Evaluator::Options& options, Evaluator::Stats* stats);
@@ -47,9 +53,10 @@ class PlanExecutor {
  private:
   using RegionEnv = std::map<std::string, size_t>;
   using Tuple = std::vector<size_t>;
-  using TupleSet = std::set<Tuple>;
+  /// A set variable bound to the engine's current fixpoint stage; the
+  /// version stamps memo keys of set-dependent nodes per stage.
   struct SetBinding {
-    const TupleSet* tuples = nullptr;
+    const RegionRelation* relation = nullptr;
     size_t version = 0;
   };
   using SetEnv = std::map<std::string, SetBinding>;
@@ -65,16 +72,12 @@ class PlanExecutor {
   template <typename Fn>
   auto Profiled(const PlanNode& node, Fn&& eval);
 
-  bool EvalRegionAtom(const PlanNode& node, RegionEnv& renv);
   bool EvalRbit(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
-  /// Deposits completed fixpoint/closure cache entries into the ambient
-  /// ResumeCollector (core/resume.h). Called from Run's unwind path: the
-  /// executor's caches are stack-local and die with the interrupt, unlike
-  /// the legacy walk's evaluator-member caches.
-  void HarvestResumeState();
-  const TupleSet& FixpointSet(const PlanNode& node);
-  const std::vector<std::vector<bool>>& ClosureMatrix(const PlanNode& node);
-  size_t TupleIndex(const Tuple& tuple) const;
+  /// The fixpoint/closure engine, constructed on the first member site.
+  RegionRelationEngine& Relations();
+  bool EvalOpaqueLeaf(const PlanNode& leaf, const std::vector<size_t>& values,
+                      const RegionRelation* stage,
+                      size_t stage_version) override;
 
   /// Cache key under the node's CachePolicy: free-region values
   /// (name-sorted) then free-set stage versions.
@@ -90,9 +93,7 @@ class PlanExecutor {
 
   std::map<const PlanNode*, std::map<Tuple, DnfFormula>> memo_;
   std::map<const PlanNode*, std::map<Tuple, bool>> bool_memo_;
-  std::map<const PlanNode*, TupleSet> fixpoint_cache_;
-  std::map<const PlanNode*, std::vector<std::vector<bool>>> closure_cache_;
-  size_t set_version_counter_ = 0;
+  std::unique_ptr<RegionRelationEngine> relations_;
 };
 
 }  // namespace lcdb

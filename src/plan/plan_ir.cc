@@ -154,14 +154,17 @@ void DeriveAnnotations(PlanNode* node, size_t num_regions) {
       fs.insert(node->set_var);
       break;
     case PlanOp::kFixpointMember:
-      worth = true;
+      // A member test is a bit test against a relation the set-at-a-time
+      // engine computes once per query (plan/region_relations.h): cheaper
+      // than a memo probe, so members never make a subtree worth caching.
+      worth = false;
       for (const std::string& b : node->bound_vars) fr.erase(b);
       fs.erase(node->set_var);
       fr.insert(node->region_args.begin(), node->region_args.end());
       node->est_fanout = SaturatingPow(num_regions, node->bound_vars.size());
       break;
     case PlanOp::kClosureMember: {
-      worth = true;
+      worth = false;  // a bit test, like kFixpointMember
       for (const std::string& b : node->bound_vars) fr.erase(b);
       fr.insert(node->region_args.begin(), node->region_args.end());
       fr.insert(node->region_args2.begin(), node->region_args2.end());
@@ -321,6 +324,14 @@ class PlanPrinter {
       out += " gov=" + std::to_string(p.governor_checkpoints);
     }
     out += " rows=" + std::to_string(p.rows);
+    if (p.stages > 0) {
+      out += " stages=" + std::to_string(p.stages) + " deltas=[";
+      for (size_t i = 0; i < p.stage_deltas.size(); ++i) {
+        if (i > 0) out += ",";
+        out += std::to_string(p.stage_deltas[i]);
+      }
+      out += "]";
+    }
     return out;
   }
 

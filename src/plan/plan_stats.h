@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace lcdb {
 
@@ -141,8 +142,13 @@ struct PlanNodeProfile {
   /// Governor checkpoints passed below this node (0 when ungoverned).
   uint64_t governor_checkpoints = 0;
   /// Result cardinality of the last evaluation: disjuncts for symbolic
-  /// nodes, 0/1 for boolean ones.
+  /// nodes, 0/1 for boolean ones, and for nodes the set-at-a-time engine
+  /// evaluates (plan/region_relations.h) the tuples of the relation that
+  /// fall in the evaluation's context.
   uint64_t rows = 0;
+  /// Fixpoint nodes: stages run, and the tuples each stage changed.
+  uint64_t stages = 0;
+  std::vector<uint64_t> stage_deltas;
 };
 
 /// Per-node profile of one plan execution, keyed by node identity (plan

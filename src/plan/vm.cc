@@ -1,16 +1,12 @@
 #include "plan/vm.h"
 
-#include <algorithm>
 #include <chrono>
-#include <deque>
 #include <string>
 #include <utility>
 
 #include "analysis/bytecode_verify.h"
 #include "constraint/canonical.h"
 #include "constraint/simplify.h"
-#include "core/pfp_cycle.h"
-#include "core/resume.h"
 #include "engine/governor.h"
 #include "engine/kernel.h"
 #include "engine/trace.h"
@@ -23,36 +19,6 @@
 
 namespace lcdb {
 
-namespace {
-
-/// Same shape as the tree executor's ScopedOpTimer (executor.cc): used by
-/// the VM's *native* member-operator engines (fixpoint, closure), whose
-/// RAII unwind behaviour — record partial time, close the span — must match
-/// the tree walk exactly. Bytecode-level kBeginOp/kEndOp brackets are
-/// handled by the explicit op-frame stack instead.
-class ScopedOpTimer {
- public:
-  ScopedOpTimer(OpTimings* timings, PlanOp op)
-      : timings_(timings), op_(op),
-        span_(PlanOpName(op).c_str()),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedOpTimer() {
-    OpTiming& slot = (*timings_)[PlanOpName(op_)];
-    ++slot.count;
-    slot.total_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count();
-  }
-
- private:
-  OpTimings* timings_;
-  PlanOp op_;
-  TraceSpan span_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace
-
 BytecodeVm::BytecodeVm(const BytecodeProgram& program,
                        const RegionExtension& ext,
                        const Evaluator::Options& options,
@@ -61,7 +27,11 @@ BytecodeVm::BytecodeVm(const BytecodeProgram& program,
       num_columns_(program.num_columns),
       renv_(program.region_slot_names.size(), 0),
       senv_(program.set_slot_names.size()),
-      icache_(program.num_icache_slots) {}
+      icache_(program.num_icache_slots) {
+  for (size_t i = 0; i < program.leaf_sites.size(); ++i) {
+    leaf_index_.emplace(program.leaf_sites[i].node, static_cast<uint32_t>(i));
+  }
+}
 
 DnfFormula BytecodeVm::Run() {
   // The VM trusts operand bounds and bracket balance on its hot path (no
@@ -88,24 +58,32 @@ DnfFormula BytecodeVm::Run() {
     profile_stack_.clear();
     // The VM dies with this unwind; deposit completed fixpoint/closure
     // entries into the ambient resume collector (core/resume.h).
-    HarvestResumeState();
+    if (relations_ != nullptr) relations_->HarvestResumeState();
     throw;
   }
 }
 
-void BytecodeVm::HarvestResumeState() {
-  ResumeCollector* resume = CurrentResumeCollectorOrNull();
-  if (resume == nullptr) return;
-  for (const auto& entry : fixpoint_cache_) {
-    if (uint64_t site = resume->SiteKey(entry.first)) {
-      resume->CaptureCompletedFixpoint(site, entry.second);
-    }
+RegionRelationEngine& BytecodeVm::Relations() {
+  if (relations_ == nullptr) {
+    RegionLeafEvaluator* leaves = this;
+    relations_ = std::make_unique<RegionRelationEngine>(ext_, options_, stats_,
+                                                        profile_, leaves);
   }
-  for (const auto& entry : closure_cache_) {
-    if (uint64_t site = resume->SiteKey(entry.first)) {
-      resume->CaptureCompletedClosure(site, entry.second);
-    }
+  return *relations_;
+}
+
+bool BytecodeVm::EvalOpaqueLeaf(const PlanNode& leaf,
+                                const std::vector<size_t>& values,
+                                const RegionRelation* stage,
+                                size_t stage_version) {
+  auto it = leaf_index_.find(&leaf);
+  LCDB_CHECK_MSG(it != leaf_index_.end(), "opaque leaf without a proc");
+  const VmLeafSite& site = program_.leaf_sites[it->second];
+  for (size_t i = 0; i < values.size(); ++i) {
+    renv_[site.region_slots[i]] = values[i];
   }
+  if (stage != nullptr) senv_[site.set_slot] = SetBinding{stage, stage_version};
+  return CallBoolProc(site.proc);
 }
 
 DnfFormula BytecodeVm::CallSymProc(uint32_t proc_id) {
@@ -377,60 +355,35 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
       case VmOp::kEqBool:
         B(in.a) = (B(in.a) != 0) == (B(in.b) != 0) ? 1 : 0;
         break;
-      case VmOp::kRegionAtom: {
-        const PlanNode& node = *in.node;
-        bool result = false;
-        switch (node.source_kind) {
-          case NodeKind::kAdjacent:
-            result = ext_.Adjacent(renv_[in.b], renv_[in.c]);
-            break;
-          case NodeKind::kRegionEq:
-            result = renv_[in.b] == renv_[in.c];
-            break;
-          case NodeKind::kSubsetS:
-            result = ext_.RegionSubsetOfS(renv_[in.b]);
-            break;
-          case NodeKind::kIntersectsS:
-            result = ext_.RegionIntersectsS(renv_[in.b]);
-            break;
-          case NodeKind::kDimAtom:
-            result = ext_.RegionDim(renv_[in.b]) == node.dim_value;
-            break;
-          case NodeKind::kBoundedAtom:
-            result = ext_.RegionBounded(renv_[in.b]);
-            break;
-          default:
-            LCDB_CHECK_MSG(false, "not a region atom");
-        }
-        B(in.a) = result ? 1 : 0;
+      case VmOp::kRegionAtom:
+        B(in.a) = DecideRegionAtom(ext_, *in.node, renv_[in.b], renv_[in.c])
+                      ? 1
+                      : 0;
         break;
-      }
       case VmOp::kSetMember: {
         const VmSlotList& list = program_.slot_lists[in.imm];
         const SetBinding& binding = senv_[in.b];
-        LCDB_CHECK(binding.tuples != nullptr);
-        Tuple tuple;
-        tuple.reserve(list.size());
-        for (uint32_t slot : list) tuple.push_back(renv_[slot]);
-        B(in.a) = binding.tuples->count(tuple) > 0 ? 1 : 0;
+        LCDB_CHECK(binding.relation != nullptr);
+        key.clear();
+        for (uint32_t slot : list) key.push_back(renv_[slot]);
+        B(in.a) = binding.relation->Test(key.data()) ? 1 : 0;
         break;
       }
       case VmOp::kFixpointMember: {
         const VmFixpointSite& site = program_.fixpoint_sites[in.imm];
-        const TupleSet& fp = FixpointSet(site, *in.node);
-        Tuple tuple;
-        tuple.reserve(site.arg_slots.size());
-        for (uint32_t slot : site.arg_slots) tuple.push_back(renv_[slot]);
-        B(in.a) = fp.count(tuple) > 0 ? 1 : 0;
+        const RegionRelation& fp = Relations().Fixpoint(*in.node);
+        key.clear();
+        for (uint32_t slot : site.arg_slots) key.push_back(renv_[slot]);
+        B(in.a) = fp.Test(key.data()) ? 1 : 0;
         break;
       }
       case VmOp::kClosureMember: {
         const VmClosureSite& site = program_.closure_sites[in.imm];
-        const auto& closure = ClosureMatrix(site, *in.node);
-        Tuple from, to;
-        for (uint32_t slot : site.arg_slots) from.push_back(renv_[slot]);
-        for (uint32_t slot : site.arg2_slots) to.push_back(renv_[slot]);
-        B(in.a) = closure[TupleIndex(from)][TupleIndex(to)] ? 1 : 0;
+        const RegionRelation& closure = Relations().Closure(*in.node);
+        key.clear();
+        for (uint32_t slot : site.arg_slots) key.push_back(renv_[slot]);
+        for (uint32_t slot : site.arg2_slots) key.push_back(renv_[slot]);
+        B(in.a) = closure.Test(key.data()) ? 1 : 0;
         break;
       }
       case VmOp::kRbitFinish:
@@ -568,240 +521,6 @@ bool BytecodeVm::EvalRbitFinish(const VmInstr& in, const DnfFormula& body) {
   const size_t i = ext_.ZeroDimRank(rn);
   const size_t j = ext_.ZeroDimRank(rd);
   return a.num().Bit(i) && a.den().Bit(j);
-}
-
-size_t BytecodeVm::TupleIndex(const Tuple& tuple) const {
-  const size_t n = ext_.num_regions();
-  size_t index = 0;
-  for (size_t v : tuple) {
-    LCDB_CHECK(v < n);
-    index = index * n + v;
-  }
-  return index;
-}
-
-/// Kleene iteration of [LFP/IFP/PFP_{M, X̄} body], the PlanExecutor
-/// algorithm with the boolean body invoked as a proc. Stage-version stamps,
-/// iteration order and failpoint/governor placement are identical, so memo
-/// hit patterns and trip points match the tree walk.
-const BytecodeVm::TupleSet& BytecodeVm::FixpointSet(
-    const VmFixpointSite& site, const PlanNode& node) {
-  auto cached = fixpoint_cache_.find(&node);
-  if (cached != fixpoint_cache_.end()) return cached->second;
-
-  // Resume fast path (core/resume.h): site keys are plan-node ordinals, so
-  // a checkpoint taken under the tree executor restores here and vice versa.
-  ResumeCollector* resume = CurrentResumeCollectorOrNull();
-  const uint64_t resume_site = resume != nullptr ? resume->SiteKey(&node) : 0;
-  if (resume_site != 0) {
-    if (const TupleSet* done = resume->CompletedFixpoint(resume_site)) {
-      ++stats_->resume_sets_restored;
-      return fixpoint_cache_.emplace(&node, *done).first->second;
-    }
-  }
-
-  ScopedOpTimer timer(&stats_->op_timings, node.op);
-  ++stats_->fixpoints_computed;
-  const uint64_t kernel_queries_before =
-      CurrentKernel().stats().feasibility_queries;
-  const size_t k = site.bound_slots.size();
-  const size_t n = ext_.num_regions();
-  size_t space = 1;
-  for (size_t i = 0; i < k; ++i) {
-    if (space > options_.max_tuple_space / std::max<size_t>(n, 1)) {
-      throw QueryInterrupt(Status::ResourceExhausted(
-          "fixed-point tuple space exceeds max_tuple_space (" +
-          std::to_string(options_.max_tuple_space) + ")"));
-    }
-    space *= n;
-  }
-  GovernorCheckTupleSpace(space, "fixed-point");
-
-  const bool is_pfp = node.source_kind == NodeKind::kPfp;
-
-  auto kleene_stage = [&](const TupleSet& cur) {
-    TupleSet next;
-    if (!is_pfp) next = cur;
-    senv_[site.set_slot] = SetBinding{&cur, ++set_version_counter_};
-    Tuple tuple(k, 0);
-    bool done_tuples = (n == 0);
-    while (!done_tuples) {
-      if (is_pfp || !next.count(tuple)) {
-        for (size_t i = 0; i < k; ++i) renv_[site.bound_slots[i]] = tuple[i];
-        if (CallBoolProc(site.body_proc)) next.insert(tuple);
-      }
-      size_t pos = k;
-      while (pos > 0) {
-        --pos;
-        if (++tuple[pos] < n) break;
-        tuple[pos] = 0;
-        if (pos == 0) done_tuples = true;
-      }
-      if (k == 0) done_tuples = true;
-    }
-    return next;
-  };
-
-  auto account = [&] {
-    stats_->fixpoint_feasibility_queries +=
-        CurrentKernel().stats().feasibility_queries - kernel_queries_before;
-  };
-
-  TupleSet current;
-  size_t iteration = 0;
-  PfpCycleDetector cycle;
-  if (resume_site != 0) {
-    // Continue an interrupted Kleene loop from its last completed stage
-    // (pure in the environment by Definition 5.1; see core/fixpoint.cc).
-    FixpointResumePoint point;
-    if (resume->TakeInProgress(resume_site, &point)) {
-      current = std::move(point.approximation);
-      iteration = point.iteration;
-      cycle.SeedHashes(point.pfp_hashes);
-      ++stats_->resume_fixpoints_resumed;
-      stats_->resume_stages_skipped += point.iteration;
-    }
-  }
-  try {
-    for (;; ++iteration) {
-      LCDB_FAILPOINT("fixpoint.stage");
-      GovernorOnFixpointIteration();
-      if (is_pfp) {
-        if (iteration > options_.max_pfp_iterations) {
-          throw QueryInterrupt(Status::ResourceExhausted(
-              "PFP exceeded max_pfp_iterations (" +
-              std::to_string(options_.max_pfp_iterations) + ")"));
-        }
-        if (cycle.SeenBefore(current, iteration, kleene_stage)) {
-          account();
-          return fixpoint_cache_.emplace(&node, TupleSet{}).first->second;
-        }
-      }
-      ++stats_->fixpoint_iterations;
-      TupleSet next;
-      {
-        TraceSpan stage_span("fixpoint.stage");
-        next = kleene_stage(current);
-        stage_span.Counter("iteration", iteration);
-        stage_span.Counter("tuples", next.size());
-      }
-      if (next == current) break;
-      current = std::move(next);
-    }
-  } catch (const QueryInterrupt&) {
-    // Checkpoint the last completed stage; a mid-stage interrupt only
-    // discards the partial `next` local to kleene_stage.
-    if (resume_site != 0) {
-      std::vector<uint64_t> pfp_hashes =
-          is_pfp ? cycle.ExportHashes(current) : std::vector<uint64_t>{};
-      resume->CaptureInProgress(resume_site, std::move(current), iteration,
-                                std::move(pfp_hashes));
-    }
-    throw;
-  }
-  account();
-  return fixpoint_cache_.emplace(&node, std::move(current)).first->second;
-}
-
-/// TC/DTC reachability bitmap, the PlanExecutor algorithm with the edge
-/// body invoked as a proc (same per-row failpoint + checkpoint placement).
-const std::vector<std::vector<bool>>& BytecodeVm::ClosureMatrix(
-    const VmClosureSite& site, const PlanNode& node) {
-  auto cached = closure_cache_.find(&node);
-  if (cached != closure_cache_.end()) return cached->second;
-
-  // Resume fast path (core/resume.h): completed-matrix granularity only.
-  if (ResumeCollector* resume = CurrentResumeCollectorOrNull()) {
-    if (uint64_t resume_site = resume->SiteKey(&node)) {
-      if (const auto* done = resume->CompletedClosure(resume_site)) {
-        ++stats_->resume_sets_restored;
-        return closure_cache_.emplace(&node, *done).first->second;
-      }
-    }
-  }
-
-  ScopedOpTimer timer(&stats_->op_timings, node.op);
-  ++stats_->closures_computed;
-  const uint64_t kernel_queries_before =
-      CurrentKernel().stats().feasibility_queries;
-  const size_t m = site.bound_slots.size() / 2;
-  const size_t n = ext_.num_regions();
-  size_t space = 1;
-  for (size_t i = 0; i < m; ++i) {
-    if (space > options_.max_tuple_space / std::max<size_t>(n, 1)) {
-      throw QueryInterrupt(Status::ResourceExhausted(
-          "TC tuple space exceeds max_tuple_space (" +
-          std::to_string(options_.max_tuple_space) + ")"));
-    }
-    space *= n;
-  }
-  GovernorCheckTupleSpace(space, "closure");
-
-  std::vector<Tuple> tuples;
-  tuples.reserve(space);
-  Tuple tuple(m, 0);
-  if (n > 0) {
-    while (true) {
-      tuples.push_back(tuple);
-      size_t pos = m;
-      bool advanced = false;
-      while (pos > 0) {
-        --pos;
-        if (++tuple[pos] < n) {
-          advanced = true;
-          break;
-        }
-        tuple[pos] = 0;
-      }
-      if (!advanced) break;
-    }
-  }
-  const size_t total = tuples.size();
-
-  std::vector<std::vector<bool>> edges(total, std::vector<bool>(total, false));
-  for (size_t u = 0; u < total; ++u) {
-    LCDB_FAILPOINT("closure.build");
-    GovernorCheckpoint();
-    for (size_t v = 0; v < total; ++v) {
-      for (size_t i = 0; i < m; ++i) {
-        renv_[site.bound_slots[i]] = tuples[u][i];
-        renv_[site.bound_slots[m + i]] = tuples[v][i];
-      }
-      edges[u][v] = CallBoolProc(site.body_proc);
-    }
-  }
-
-  if (node.source_kind == NodeKind::kDtc) {
-    for (size_t u = 0; u < total; ++u) {
-      size_t successors = 0;
-      for (size_t v = 0; v < total; ++v) {
-        if (edges[u][v]) ++successors;
-      }
-      if (successors != 1) {
-        std::fill(edges[u].begin(), edges[u].end(), false);
-      }
-    }
-  }
-
-  std::vector<std::vector<bool>> closure(total,
-                                         std::vector<bool>(total, false));
-  for (size_t source = 0; source < total; ++source) {
-    std::deque<size_t> queue = {source};
-    closure[source][source] = true;
-    while (!queue.empty()) {
-      size_t u = queue.front();
-      queue.pop_front();
-      for (size_t v = 0; v < total; ++v) {
-        if (edges[u][v] && !closure[source][v]) {
-          closure[source][v] = true;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-  stats_->closure_feasibility_queries +=
-      CurrentKernel().stats().feasibility_queries - kernel_queries_before;
-  return closure_cache_.emplace(&node, std::move(closure)).first->second;
 }
 
 DnfFormula ExecutePlan(const CompiledPlan& plan, const RegionExtension& ext,

@@ -3,7 +3,7 @@
 
 #include <chrono>
 #include <map>
-#include <set>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,6 +11,7 @@
 #include "db/region_extension.h"
 #include "engine/kernel_stats.h"
 #include "plan/bytecode.h"
+#include "plan/region_relations.h"
 
 namespace lcdb {
 
@@ -37,7 +38,7 @@ class QueryTracer;
 ///
 /// Like the tree executor, the VM is single-query: construct, Run() once,
 /// read the updated stats. The program must outlive the VM.
-class BytecodeVm {
+class BytecodeVm : private RegionLeafEvaluator {
  public:
   BytecodeVm(const BytecodeProgram& program, const RegionExtension& ext,
              const Evaluator::Options& options, Evaluator::Stats* stats);
@@ -58,9 +59,9 @@ class BytecodeVm {
 
  private:
   using Tuple = std::vector<size_t>;
-  using TupleSet = std::set<Tuple>;
+  /// A set variable bound to the engine's current fixpoint stage.
   struct SetBinding {
-    const TupleSet* tuples = nullptr;
+    const RegionRelation* relation = nullptr;
     size_t version = 0;
   };
   /// One open kBeginOp(kOpTimed) bracket: closed by kEndOp or by the
@@ -113,19 +114,14 @@ class BytecodeVm {
   bool IcacheLookup(uint32_t slot, const std::string& key, bool* verdict);
   void IcacheStore(uint32_t slot, std::string key, bool verdict);
 
-  /// Deposits completed fixpoint/closure cache entries into the ambient
-  /// ResumeCollector (core/resume.h) during Run's unwind — mirrors
-  /// PlanExecutor::HarvestResumeState.
-  void HarvestResumeState();
-
-  /// Native ports of the tree executor's member-operator engines; the
-  /// boolean body runs as a proc call instead of a recursive EvalBool.
-  const TupleSet& FixpointSet(const VmFixpointSite& site,
-                              const PlanNode& node);
-  const std::vector<std::vector<bool>>& ClosureMatrix(
-      const VmClosureSite& site, const PlanNode& node);
+  /// The fixpoint/closure engine shared with the tree executor,
+  /// constructed on the first member site.
+  RegionRelationEngine& Relations();
+  /// Engine callback: binds the leaf's slots and runs its proc.
+  bool EvalOpaqueLeaf(const PlanNode& leaf, const std::vector<size_t>& values,
+                      const RegionRelation* stage,
+                      size_t stage_version) override;
   bool EvalRbitFinish(const VmInstr& in, const DnfFormula& body);
-  size_t TupleIndex(const Tuple& tuple) const;
 
   void PushOpFrame(const PlanNode& node);
   void CloseOpFrame();
@@ -150,13 +146,11 @@ class BytecodeVm {
   std::vector<OpFrame> op_stack_;
   std::vector<ProfileFrame> profile_stack_;
 
-  // Memo and member-operator caches, keyed by node identity like the tree
-  // executor's.
+  // Memo caches, keyed by node identity like the tree executor's.
   std::map<const PlanNode*, std::map<Tuple, DnfFormula>> memo_;
   std::map<const PlanNode*, std::map<Tuple, bool>> bool_memo_;
-  std::map<const PlanNode*, TupleSet> fixpoint_cache_;
-  std::map<const PlanNode*, std::vector<std::vector<bool>>> closure_cache_;
-  size_t set_version_counter_ = 0;
+  std::map<const PlanNode*, uint32_t> leaf_index_;  ///< into leaf_sites
+  std::unique_ptr<RegionRelationEngine> relations_;
 };
 
 /// Thin façade selecting the plan backend: the bytecode VM when

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "constraint/parser.h"
+#include "core/evaluator.h"
 #include "core/parser.h"
 #include "db/io.h"
+#include "db/region_extension.h"
+#include "db/workloads.h"
 
 namespace lcdb {
 namespace {
@@ -108,6 +111,58 @@ TEST(ParserRobustnessTest, DeeplyNestedParensParse) {
   std::string unbalanced = "(" + deep;
   EXPECT_FALSE(ParseDnf(unbalanced, kXY).ok());
   EXPECT_FALSE(ParseQuery(unbalanced, "S").ok());
+}
+
+TEST(ParserRobustnessTest, NestingPastTheLimitIsAParseError) {
+  // 10,000 levels used to overflow the parser's stack (exit 139), for a
+  // malformed and for a well-formed query alike.
+  const std::string inputs[] = {
+      std::string(10000, '('),
+      std::string(10000, '!') + "exists x y . S(x, y)",
+      std::string(10000, '(') + "S(x, y)" + std::string(10000, ')'),
+      "S(" + std::string(10000, '-') + "x, y)",
+      [] {  // right-associative implications recurse per arrow
+        std::string chain = "true";
+        for (int i = 0; i < 10000; ++i) chain += " -> true";
+        return chain;
+      }(),
+      [] {  // left-associative conjunctions nest only the AST
+        std::string chain = "true";
+        for (int i = 0; i < 10000; ++i) chain += " & true";
+        return chain;
+      }(),
+  };
+  for (const std::string& text : inputs) {
+    auto q = ParseQuery(text, "S");
+    ASSERT_FALSE(q.ok()) << text.substr(0, 40);
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+    EXPECT_NE(q.status().message().find(
+                  "limit of " + std::to_string(kMaxQueryNesting)),
+              std::string::npos)
+        << q.status().ToString();
+  }
+}
+
+TEST(ParserRobustnessTest, QueryAtTheNestingLimitEvaluates) {
+  // AST depth exactly kMaxQueryNesting: the negations, two quantifier nodes
+  // and the relation atom. Typecheck, analysis, planning, verification and
+  // evaluation all recurse over it; none may crash, on any backend.
+  const size_t negations = kMaxQueryNesting - 3;
+  const std::string text =
+      std::string(negations, '!') + "exists x y . S(x, y)";
+  ASSERT_TRUE(ParseQuery(text, "S").ok());
+  ASSERT_FALSE(ParseQuery("!" + text, "S").ok());
+  ConstraintDatabase db = MakeComb(1, true);
+  auto ext = MakeArrangementExtension(db);
+  for (int backend = 0; backend < 3; ++backend) {
+    SCOPED_TRACE(backend);
+    Evaluator::Options options;
+    options.use_plan = backend != 0;
+    options.use_bytecode = backend == 2;
+    auto truth = EvaluateSentenceText(*ext, text, options);
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    EXPECT_EQ(*truth, negations % 2 == 0);  // S is nonempty
+  }
 }
 
 TEST(ParserRobustnessTest, HugeNumbersParseExactly) {

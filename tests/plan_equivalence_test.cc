@@ -41,9 +41,10 @@ ConstraintDatabase Load(const std::string& name) {
   return *db;
 }
 
+/// `stages`, when given, receives the evaluation's fixpoint_iterations.
 std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
                       bool use_plan, bool optimize,
-                      bool use_bytecode = false) {
+                      bool use_bytecode = false, size_t* stages = nullptr) {
   Evaluator::Options options;
   options.use_plan = use_plan;
   options.optimize = optimize;
@@ -51,6 +52,7 @@ std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
   Evaluator evaluator(ext, options);
   auto answer = evaluator.Evaluate(query);
   EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+  if (stages != nullptr) *stages = evaluator.stats().fixpoint_iterations;
   if (!answer.ok()) return "<error>";
   return answer->ToString();
 }
@@ -62,15 +64,23 @@ void ExpectAllModesAgree(const RegionExtension& ext, const std::string& text,
                          bool check_raw = true) {
   auto query = ParseQuery(text, ext.database().relation_name());
   ASSERT_TRUE(query.ok()) << text << "\n" << query.status().ToString();
-  const std::string legacy = AnswerVia(ext, **query, false, true);
+  // Stage counts too: the set-at-a-time engine (semi-naive or not) must
+  // run exactly the legacy walk's Kleene stages.
+  size_t legacy_stages = 0, stages = 0;
+  const std::string legacy =
+      AnswerVia(ext, **query, false, true, false, &legacy_stages);
   if (check_raw) {
-    EXPECT_EQ(legacy, AnswerVia(ext, **query, true, false))
+    EXPECT_EQ(legacy, AnswerVia(ext, **query, true, false, false, &stages))
         << "raw plan diverges on: " << text;
+    EXPECT_EQ(legacy_stages, stages) << "raw plan stages differ on: " << text;
   }
-  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true))
+  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, false, &stages))
       << "optimized plan diverges on: " << text;
-  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, true))
+  EXPECT_EQ(legacy_stages, stages)
+      << "optimized plan stages differ on: " << text;
+  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, true, &stages))
       << "bytecode VM diverges on: " << text;
+  EXPECT_EQ(legacy_stages, stages) << "bytecode VM stages differ on: " << text;
   {
     // Traced VM run: span emission sits on the dispatch hot path, so it is
     // swept too — tracing must be observation only.
@@ -159,7 +169,13 @@ TEST(PlanEquivalenceTest, FixpointFlavours) {
   pfp.replace(pfp.find("[lfp"), 4, "[pfp");
   for (const std::string& text :
        {lfp, ifp, pfp,
-        std::string("exists A . [pfp M R : !(M(R))](A)")}) {
+        std::string("exists A . [pfp M R : !(M(R))](A)"),
+        // Bodies the set-at-a-time engine cannot run semi-naively: M under
+        // ∀ and →, and a closure edge with a universal quantifier.
+        std::string("exists A . [lfp M R : (subset(R) & !(bounded(R))) | "
+                    "(forall Z . (adj(R, Z) -> M(Z)))](A)"),
+        std::string("forall A . (subset(A) -> exists B . [tc R ; S : "
+                    "forall Z . (adj(S, Z) -> adj(R, Z) | R = Z)](A ; B))")}) {
     ExpectAllModesAgree(*ext, text);
   }
 }

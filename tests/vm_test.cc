@@ -124,10 +124,34 @@ TEST(VmTest, DisassemblerListsEveryProcAndFootersMatch) {
       listing.find(std::to_string(program.TotalInstructions()) +
                    " instruction(s)"),
       std::string::npos);
-  // A fixpoint query lowers its body as a separate proc and a fixpoint
-  // site referencing it.
-  EXPECT_GE(program.procs.size(), 2u);
-  EXPECT_EQ(program.fixpoint_sites.size(), 1u);
+  // The set-at-a-time engine evaluates the region-pure fixpoint body
+  // itself: the site lowers no body proc and lists no opaque leaves.
+  EXPECT_EQ(program.procs.size(), 1u);
+  ASSERT_EQ(program.fixpoint_sites.size(), 1u);
+  EXPECT_TRUE(program.fixpoint_sites[0].leaves.empty());
+  EXPECT_NE(listing.find("leaves={}"), std::string::npos);
+}
+
+TEST(VmTest, OpaqueFixpointLeavesLowerToProcs) {
+  // The river query's body tests element-sort subformulas (kNonEmpty): each
+  // opaque leaf becomes a boolean proc the engine calls back into, and the
+  // site and listing name them.
+  ConstraintDatabase db = MakeRiverScenario(3, {1}, {1}, {2});
+  auto ext = MakeArrangementExtension(db);
+  BytecodeProgram program = Compile(*ext, RiverPollutionQueryText());
+  ASSERT_EQ(program.fixpoint_sites.size(), 1u);
+  const VmFixpointSite& site = program.fixpoint_sites[0];
+  ASSERT_FALSE(site.leaves.empty());
+  EXPECT_EQ(program.leaf_sites.size(), site.leaves.size());
+  for (uint32_t leaf : site.leaves) {
+    const VmLeafSite& leaf_site = program.leaf_sites[leaf];
+    ASSERT_LT(leaf_site.proc, program.procs.size());
+    EXPECT_FALSE(program.procs[leaf_site.proc].symbolic);
+    EXPECT_EQ(leaf_site.node->op, PlanOp::kNonEmpty);
+    EXPECT_EQ(leaf_site.region_slots.size(), leaf_site.node->free_region.size());
+  }
+  EXPECT_GE(program.procs.size(), 1 + site.leaves.size());
+  EXPECT_TRUE(VerifyBytecode(program).status.ok());
 }
 
 TEST(VmTest, VmStatsPopulatedAndByteIdentical) {
@@ -148,7 +172,7 @@ TEST(VmTest, VmStatsPopulatedAndByteIdentical) {
   ASSERT_TRUE(vm_answer.ok());
   EXPECT_EQ(tree_answer->ToString(), vm_answer->ToString());
   EXPECT_GT(vm.stats().vm.instructions, 0u);
-  EXPECT_GE(vm.stats().vm.procs, 2u);
+  EXPECT_EQ(vm.stats().vm.procs, 1u);  // the body runs in the engine
   EXPECT_GT(vm.stats().vm.code_instructions, 0u);
   // Core evaluation telemetry matches the tree walk exactly (same memo
   // cadence, same operator visits).
