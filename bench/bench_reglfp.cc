@@ -282,25 +282,21 @@ BENCHMARK(BM_KernelMemoRiver)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-/// Lemma-database acceptance experiment (ISSUE 7 / EXPERIMENTS.md "Lemma
-/// database hit rate"): a repeated-query serving workload on the comb
-/// family under three kernel configurations — the activity-managed lemma
-/// database, the per-kernel LRU baseline, and memoize-off. The workload
-/// models serving: every request (each round's arrangement refresh, and
-/// each query after it) runs in a FRESH ConstraintKernel, exactly how the
-/// evaluator's ScopedKernel scopes work per query. The lemma configuration
-/// attaches all request kernels to one shared LemmaDatabase, so round 2's
-/// refresh and every query hit the lemmas round 1 proved; the LRU
-/// baseline's caches are per-kernel state that dies with each request, so
-/// every request starts cold and only intra-request reuse hits. This is
-/// the architectural difference the lemma DB exists for — lemma lifetime
-/// decoupled from kernel scope — not a replacement-policy microbenchmark.
-/// Acceptance: lemma_hit_rate >= lru_hit_rate (lemma_ge_lru == 1) and
-/// byte-identical answers across all three configurations
-/// (answers_identical == 1). A deliberately tight `capacity` keeps the
-/// store under eviction pressure; the eviction-quality counters expose
-/// *what* was evicted, not just how much.
-void BM_LemmaDbVsLru(benchmark::State& state) {
+/// Lemma-database acceptance experiment (EXPERIMENTS.md "Lemma database
+/// hit rate"): a repeated-query serving workload on the comb family under
+/// the two kernel configurations — the activity-managed lemma database
+/// and memoize-off. The workload models serving: every request (each
+/// round's arrangement refresh, and each query after it) runs in a FRESH
+/// ConstraintKernel, exactly how the evaluator's ScopedKernel scopes work
+/// per query. The lemma configuration attaches all request kernels to one
+/// shared LemmaDatabase, so round 2's refresh and every query hit the
+/// lemmas round 1 proved; memoize-off pays an oracle call per non-trivial
+/// question. Acceptance: strictly fewer oracle calls with the lemma DB
+/// (lemma_saves_oracle == 1) and byte-identical answers across both
+/// configurations (answers_identical == 1). A deliberately tight
+/// `capacity` keeps the store under eviction pressure; the eviction-quality
+/// counters expose *what* was evicted, not just how much.
+void BM_LemmaDbVsMemoizeOff(benchmark::State& state) {
   const int teeth = static_cast<int>(state.range(0));
   const size_t capacity = static_cast<size_t>(state.range(1));
   lcdb::ConstraintDatabase db = lcdb::MakeComb(teeth, true);
@@ -311,43 +307,31 @@ void BM_LemmaDbVsLru(benchmark::State& state) {
       "exists R R' . [rbit x : x > 0](R, R')",
   };
   constexpr int kRounds = 3;
-  lcdb::KernelStats lemma_stats, lru_stats;
+  lcdb::KernelStats lemma_stats, off_stats;
   bool identical = false;
   for (auto _ : state) {
     lemma_stats = lcdb::KernelStats();
-    lru_stats = lcdb::KernelStats();
+    off_stats = lcdb::KernelStats();
     lcdb::LemmaDatabase::Options store_options;
     store_options.max_entries = capacity;
     auto store = std::make_shared<lcdb::LemmaDatabase>(store_options);
-    const lcdb::ConstraintKernel::Options lemma_options{
-        /*memoize=*/true, capacity, /*use_lemma_db=*/true};
-    // Equal total budget for the baseline: the lemma DB is one unified
-    // pool of `capacity` entries; the LRU kernel keeps two maps
-    // (feasibility and implications) bounded separately, so each gets
-    // half.
-    const lcdb::ConstraintKernel::Options lru_options{
-        /*memoize=*/true, capacity / 2, /*use_lemma_db=*/false};
+    const lcdb::ConstraintKernel::Options lemma_options{/*memoize=*/true,
+                                                        capacity};
     const lcdb::ConstraintKernel::Options off_options{/*memoize=*/false};
 
-    std::vector<std::string> answers[3];
+    std::vector<std::string> answers[2];
     bool failed = false;
-    for (int config = 0; config < 3 && !failed; ++config) {
+    for (int config = 0; config < 2 && !failed; ++config) {
       // One request = one fresh kernel. Only the lemma configuration
       // carries state (the shared store) from one request to the next.
       auto request_kernel = [&]() {
-        switch (config) {
-          case 0:
-            return std::make_unique<lcdb::ConstraintKernel>(lemma_options,
-                                                            store);
-          case 1:
-            return std::make_unique<lcdb::ConstraintKernel>(lru_options);
-          default:
-            return std::make_unique<lcdb::ConstraintKernel>(off_options);
-        }
+        return config == 0
+                   ? std::make_unique<lcdb::ConstraintKernel>(lemma_options,
+                                                              store)
+                   : std::make_unique<lcdb::ConstraintKernel>(off_options);
       };
       auto settle = [&](const lcdb::ConstraintKernel& kernel) {
-        if (config == 0) lemma_stats += kernel.stats();
-        if (config == 1) lru_stats += kernel.stats();
+        (config == 0 ? lemma_stats : off_stats) += kernel.stats();
       };
       for (int r = 0; r < kRounds && !failed; ++r) {
         // Request 0 of the round: refresh the arrangement. Its kernel
@@ -375,38 +359,32 @@ void BM_LemmaDbVsLru(benchmark::State& state) {
       }
     }
     if (failed) break;
-    identical = answers[0] == answers[1] && answers[1] == answers[2];
+    identical = answers[0] == answers[1];
     if (!identical) state.SkipWithError("backend answers diverged");
     benchmark::DoNotOptimize(identical);
   }
-  auto hit_rate = [](const lcdb::KernelStats& s) {
-    const double hits = static_cast<double>(s.cache_hits) +
-                        static_cast<double>(s.implication_cache_hits);
-    const double total = hits + static_cast<double>(s.cache_misses) +
-                         static_cast<double>(s.implication_cache_misses);
-    return total == 0.0 ? 0.0 : hits / total;
-  };
-  const double lemma_rate = hit_rate(lemma_stats);
-  const double lru_rate = hit_rate(lru_stats);
-  state.counters["lemma_hit_rate"] = lemma_rate;
-  state.counters["lru_hit_rate"] = lru_rate;
-  state.counters["lemma_ge_lru"] = lemma_rate >= lru_rate ? 1 : 0;
+  const double hits = static_cast<double>(lemma_stats.cache_hits) +
+                      static_cast<double>(lemma_stats.implication_cache_hits);
+  const double lookups =
+      hits + static_cast<double>(lemma_stats.cache_misses) +
+      static_cast<double>(lemma_stats.implication_cache_misses);
+  state.counters["lemma_hit_rate"] = lookups == 0.0 ? 0.0 : hits / lookups;
   state.counters["lemma_oracle_calls"] =
       static_cast<double>(lemma_stats.oracle_calls);
-  state.counters["lru_oracle_calls"] =
-      static_cast<double>(lru_stats.oracle_calls);
+  state.counters["off_oracle_calls"] =
+      static_cast<double>(off_stats.oracle_calls);
+  state.counters["lemma_saves_oracle"] =
+      lemma_stats.oracle_calls < off_stats.oracle_calls ? 1 : 0;
   state.counters["lemma_evictions_core"] =
       static_cast<double>(lemma_stats.lemma_evictions_core);
   state.counters["lemma_evictions_frequent"] =
       static_cast<double>(lemma_stats.lemma_evictions_frequent);
   state.counters["lemma_evictions_transient"] =
       static_cast<double>(lemma_stats.lemma_evictions_transient);
-  state.counters["lru_evictions"] =
-      static_cast<double>(lru_stats.cache_evictions);
   state.counters["answers_identical"] = identical ? 1 : 0;
 }
 
-BENCHMARK(BM_LemmaDbVsLru)
+BENCHMARK(BM_LemmaDbVsMemoizeOff)
     ->Args({2, 96})
     ->Args({3, 192})
     ->Args({3, 512})
@@ -466,9 +444,8 @@ BENCHMARK(BM_PlanOptimizerAblation)->Arg(2)->Arg(3)->Arg(4)
 /// register-bytecode VM (Arg 1 = 1) on the comb family. Both backends are
 /// byte-identical in answers and memo cadence, so the timing delta isolates
 /// interpretation overhead: tree-node virtual-ish dispatch + string-keyed
-/// environment maps against dense fixed-width instructions, flat register
-/// slots, and inline-cached kernel call sites. Counters expose the VM's
-/// instruction volume and inline-cache economics.
+/// environment maps against dense fixed-width instructions and flat
+/// register slots. Counters expose the VM's instruction volume.
 void BM_VmDispatch(benchmark::State& state) {
   const size_t teeth = static_cast<size_t>(state.range(0));
   const bool use_vm = state.range(1) != 0;
@@ -491,9 +468,6 @@ void BM_VmDispatch(benchmark::State& state) {
   state.counters["node_evals"] = static_cast<double>(last.node_evaluations);
   state.counters["vm_instructions"] =
       static_cast<double>(last.vm.instructions);
-  state.counters["icache_hits"] = static_cast<double>(last.vm.icache_hits);
-  state.counters["icache_misses"] =
-      static_cast<double>(last.vm.icache_misses);
 }
 
 BENCHMARK(BM_VmDispatch)

@@ -339,11 +339,6 @@ class ProcChecker {
         return s;
       case VmOp::kRbitFinish:
         s = all({B(pc, in.a), S(pc, in.b), Node(pc)});
-        if (s.ok() && in.c >= program_.num_icache_slots) {
-          s = FailAt(proc_id_, pc, in,
-                     "inline-cache slot out of range: " + std::to_string(in.c) +
-                         " of " + std::to_string(program_.num_icache_slots));
-        }
         if (s.ok() && in.imm >= program_.rbit_sites.size()) {
           s = FailAt(proc_id_, pc, in,
                      "rbit site id out of range: " + std::to_string(in.imm) +
@@ -351,13 +346,7 @@ class ProcChecker {
         }
         return s;
       case VmOp::kNonEmpty:
-        s = all({B(pc, in.a), S(pc, in.b)});
-        if (s.ok() && in.c >= program_.num_icache_slots) {
-          s = FailAt(proc_id_, pc, in,
-                     "inline-cache slot out of range: " + std::to_string(in.c) +
-                         " of " + std::to_string(program_.num_icache_slots));
-        }
-        return s;
+        return all({B(pc, in.a), S(pc, in.b)});
       case VmOp::kJmp:
         return Forward(pc, in.b);
       case VmOp::kJmpIfSymFalse:

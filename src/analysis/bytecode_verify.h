@@ -46,8 +46,8 @@ struct BytecodeVerifyResult {
 /// abstract interpreter over every proc of the program:
 ///
 ///  * **Operand bounds** — every register operand is inside the proc's
-///    s/b/i register files, every slot / memo-descriptor / site / proc /
-///    inline-cache index is inside its side table, jump targets are inside
+///    s/b/i register files, every slot / memo-descriptor / site / proc
+///    index is inside its side table, jump targets are inside
 ///    the proc (checked for all instructions, reachable or not).
 ///  * **Typestate dataflow** — forward abstract interpretation with a
 ///    worklist: registers are defined before use on all paths (bit-vector

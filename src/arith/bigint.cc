@@ -360,8 +360,9 @@ int64_t BigInt::ToInt64() const {
   for (size_t i = limbs_.size(); i-- > 0;) {
     magnitude = (magnitude << 32) | limbs_[i];
   }
-  return negative_ ? -static_cast<int64_t>(magnitude)
-                   : static_cast<int64_t>(magnitude);
+  // Negate in unsigned arithmetic: magnitude 2^63 (INT64_MIN) has no
+  // positive int64_t, and the conversion back is modular since C++20.
+  return static_cast<int64_t>(negative_ ? 0 - magnitude : magnitude);
 }
 
 std::string BigInt::ToString() const {

@@ -78,16 +78,28 @@ class ConstraintParser {
     return f;
   }
 
+  /// Opens one nesting level (`!` or `(`). The error returns below leave
+  /// depth_ raised, which is harmless: the parse is over.
+  Status Nest() {
+    if (++depth_ <= kMaxQueryNesting) return Status::Ok();
+    return Error("formula nesting exceeds the limit of " +
+                 std::to_string(kMaxQueryNesting) + " levels");
+  }
+
   Result<DnfFormula> ParseUnary() {
     if (Consume("!")) {
+      LCDB_RETURN_IF_ERROR(Nest());
       LCDB_ASSIGN_OR_RETURN(DnfFormula f, ParseUnary());
+      --depth_;
       return f.Negate();
     }
     // A '(' may open either a subformula or never occurs inside linexpr, so
     // it is unambiguous here.
     if (Peek() == '(') {
       Consume("(");
+      LCDB_RETURN_IF_ERROR(Nest());
       LCDB_ASSIGN_OR_RETURN(DnfFormula f, ParseDisjunction());
+      --depth_;
       if (!Consume(")")) return Error("expected ')'");
       return f;
     }
@@ -242,6 +254,7 @@ class ConstraintParser {
   std::string_view text_;
   const std::vector<std::string>& var_names_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  ///< open `!` / `(` levels
   Rational constant_;
   bool not_equal_ = false;
 };

@@ -10,6 +10,13 @@
 
 namespace lcdb {
 
+/// Nesting limit shared by the constraint parser below and the query parser
+/// (core/parser.h): deeper input is a ParseError naming the limit, so no
+/// input can exhaust the stack. The value leaves headroom for sanitizer
+/// builds, whose query-parser frames exhaust an 8 MB stack between 400 and
+/// 700 levels.
+inline constexpr size_t kMaxQueryNesting = 256;
+
 /// Parses a quantifier-free boolean combination of linear (in)equalities
 /// over the named variables into DNF.
 ///
@@ -22,6 +29,8 @@ namespace lcdb {
 ///
 /// `!=` desugars to a disjunction of `<` and `>`; `!` is compiled away by
 /// DNF negation, matching the paper's negation-free representations.
+/// Each `(` and `!` opens a nesting level; more than kMaxQueryNesting open
+/// levels is a ParseError.
 Result<DnfFormula> ParseDnf(std::string_view text,
                             const std::vector<std::string>& var_names);
 

@@ -89,8 +89,8 @@ void Evaluator::SettleAmbient(const KernelStats& kernel_before,
   stats_.kernel += delta;
   if (span != nullptr) {
     // Lemma-database share of this query's kernel work; zero counters are
-    // suppressed so the LRU / memoize-off configurations keep their span
-    // shapes unchanged.
+    // suppressed so the memoize-off configuration keeps its span shapes
+    // unchanged.
     if (delta.lemma_hits > 0) span->Counter("lemma.hits", delta.lemma_hits);
     const uint64_t lemma_evictions = delta.lemma_evictions_core +
                                      delta.lemma_evictions_frequent +
@@ -235,8 +235,8 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   // happens inside the window because the optimizer's folding pass issues
   // feasibility queries of its own.
   // Bind the lemma store's occurrence index to this extension's database
-  // representation (cheap no-op when it is already bound or under the
-  // LRU/memoize-off backends), so lemmas learned below carry per-disjunct
+  // representation (cheap no-op when it is already bound or memoization
+  // is off), so lemmas learned below carry per-disjunct
   // occurrence lists for targeted invalidation.
   CurrentKernel().BindLemmaOccurrences(ext_.database().representation());
   const KernelStats kernel_before = CurrentKernel().stats();

@@ -84,11 +84,10 @@ class Evaluator {
     bool optimize = true;
     /// Execute through the register bytecode VM (plan/bytecode.h, plan/vm.h)
     /// instead of the tree-walking PlanExecutor: the optimized plan is
-    /// flattened to fixed-width instructions with inline-cached kernel call
-    /// sites. Answer formulas, memo behaviour, governor checkpoint cadence
-    /// and op.*/trace telemetry are byte-identical to the tree walk (the
-    /// equivalence tests sweep both); only kernel query *counts* may drop,
-    /// thanks to the inline caches. Requires optimize=true — lowering is
+    /// flattened to fixed-width instructions. Answer formulas, memo
+    /// behaviour, governor checkpoint cadence, kernel query counts and
+    /// op.*/trace telemetry are byte-identical to the tree walk (the
+    /// equivalence tests sweep both). Requires optimize=true — lowering is
     /// defined over optimized plans only, and Evaluate fails with
     /// kInvalidArgument on the combination use_bytecode && !optimize.
     bool use_bytecode = false;
@@ -148,8 +147,8 @@ class Evaluator {
     /// closures, rBIT), keyed by PlanOpName. Reset at each Evaluate entry.
     OpTimings op_timings;
     /// Bytecode-VM telemetry of the most recent Evaluate call (instruction
-    /// count, inline-cache outcomes, program shape). All zeros when the
-    /// tree backend ran; reset at each Evaluate entry like op_timings.
+    /// count, program shape). All zeros when the tree backend ran; reset at
+    /// each Evaluate entry like op_timings.
     VmStats vm;
     /// Tier-3 static-verifier telemetry (analysis/verify_stats.h) of the
     /// most recent Evaluate call: plans/programs verified, dataflow
@@ -227,8 +226,8 @@ class Evaluator {
 
   /// Compiles and optimizes the query, lowers the optimized plan to
   /// register bytecode and returns the disassembled program — procedures,
-  /// instructions with resolved slot names, memo descriptors and the
-  /// inline-cache slot count — without executing it (`lcdbq
+  /// instructions with resolved slot names and memo descriptors — without
+  /// executing it (`lcdbq
   /// --explain-bytecode`). Fails with kInvalidArgument when
   /// Options::optimize is off, like evaluation under use_bytecode.
   Result<std::string> ExplainBytecode(const FormulaNode& query);

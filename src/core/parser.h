@@ -4,6 +4,7 @@
 #include <string>
 #include <string_view>
 
+#include "constraint/parser.h"
 #include "core/ast.h"
 #include "util/status.h"
 
@@ -42,15 +43,12 @@ namespace lcdb {
 /// `relation_name` identifies the database relation S for relation atoms;
 /// arity and variable-sort errors are caught later by TypeCheck.
 ///
-/// Nesting is bounded by kMaxQueryNesting, so no input can exhaust the
-/// stack of the parser or of the recursive passes after it: both the
-/// parser's recursion (each `(`, `!`, quantifier body, bracket operator and
-/// unary minus opens a level) and the depth of the resulting AST must stay
-/// within it, or ParseQuery fails with a ParseError naming the limit. The
-/// value leaves headroom for sanitizer builds, whose parser frames exhaust
-/// an 8 MB stack between 400 and 700 levels.
-inline constexpr size_t kMaxQueryNesting = 256;
-
+/// Nesting is bounded by kMaxQueryNesting (constraint/parser.h), so no
+/// input can exhaust the stack of the parser or of the recursive passes
+/// after it: both the parser's recursion (each `(`, `!`, quantifier body,
+/// bracket operator and unary minus opens a level) and the depth of the
+/// resulting AST must stay within it, or ParseQuery fails with a ParseError
+/// naming the limit.
 Result<FormulaPtr> ParseQuery(std::string_view text,
                               const std::string& relation_name);
 

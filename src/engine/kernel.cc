@@ -68,7 +68,7 @@ FeasibilityResult ConstraintKernel::CachedFeasibility(
     const CanonicalSystem& canon) {
   // Injection + budget site, deliberately before the lock and before any
   // cache mutation: an interrupt here (or anywhere in the LP solve below)
-  // can only suppress an insertion, so the caches stay complete-or-absent.
+  // can only suppress an insertion, so the cache stays complete-or-absent.
   LCDB_FAILPOINT("kernel.decide");
   GovernorOnFeasibilityQuery();
   {
@@ -82,15 +82,6 @@ FeasibilityResult ConstraintKernel::CachedFeasibility(
       // TRUE system: the origin is a witness.
       ++stats_.trivial_answers;
       return {true, Vec(canon.num_vars)};
-    }
-    if (options_.memoize && lemma_db_ == nullptr) {
-      if (const FeasibilityResult* hit = feasibility_cache_.Lookup(
-              canon.hash, canon.encoding,
-              &stats_.canonicalization_collisions)) {
-        ++stats_.cache_hits;
-        return *hit;
-      }
-      ++stats_.cache_misses;
     }
   }
   if (lemma_db_ != nullptr) {
@@ -120,10 +111,6 @@ FeasibilityResult ConstraintKernel::CachedFeasibility(
     ++stats_.oracle_calls;
     stats_.simplex_invocations += after.invocations - before.invocations;
     stats_.simplex_pivots += after.pivots - before.pivots;
-    if (options_.memoize && lemma_db_ == nullptr) {
-      feasibility_cache_.Insert(canon.hash, canon.encoding, result,
-                                &stats_.cache_evictions);
-    }
   }
   if (lemma_db_ != nullptr) {
     // The solve cost drives the tier: expensive proofs and infeasible
@@ -157,15 +144,6 @@ bool ConstraintKernel::DecideConsistentWithNegation(
   key.push_back('!');
   AppendAtomEncoding(atom, &key);
   const uint64_t hash = StableHash64(key);
-  if (options_.memoize && lemma_db_ == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const bool* hit = implication_cache_.Lookup(
-            hash, key, &stats_.canonicalization_collisions)) {
-      ++stats_.implication_cache_hits;
-      return *hit;
-    }
-    ++stats_.implication_cache_misses;
-  }
   if (lemma_db_ != nullptr) {
     std::optional<bool> hit = lemma_db_->LookupImplication(hash, key);
     std::lock_guard<std::mutex> lock(mu_);
@@ -188,11 +166,6 @@ bool ConstraintKernel::DecideConsistentWithNegation(
       consistent = true;
       break;
     }
-  }
-  if (options_.memoize && lemma_db_ == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    implication_cache_.Insert(hash, std::move(key), consistent,
-                              &stats_.cache_evictions);
   }
   if (lemma_db_ != nullptr) {
     // A proved implication (consistent == false) is pinned core inside the
@@ -243,15 +216,7 @@ void ConstraintKernel::ResetStats() {
 }
 
 void ConstraintKernel::ClearCache() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    feasibility_cache_.Clear();
-    implication_cache_.Clear();
-  }
   if (lemma_db_ != nullptr) lemma_db_->Clear();
-  // The epoch move is what lets the VM's inline caches observe the clear
-  // (satellite contract: a cleared kernel never serves a stale icache hit).
-  clear_epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace lcdb

@@ -1,14 +1,10 @@
 #ifndef LCDB_ENGINE_KERNEL_H_
 #define LCDB_ENGINE_KERNEL_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "constraint/canonical.h"
@@ -18,71 +14,6 @@
 #include "lp/feasibility.h"
 
 namespace lcdb {
-
-namespace internal {
-
-/// Least-recently-used cache keyed by (stable hash, canonical encoding).
-/// The 64-bit hash is the bucket key; the full encoding resolves collisions
-/// exactly, and every collision observation is reported through the
-/// out-counter. Not thread-safe; the kernel serializes access.
-template <typename Value>
-class CanonicalLruCache {
- public:
-  explicit CanonicalLruCache(size_t max_entries)
-      : max_entries_(max_entries == 0 ? 1 : max_entries) {}
-
-  /// Returns the cached value (refreshing its LRU position) or nullptr.
-  const Value* Lookup(uint64_t hash, const std::string& encoding,
-                      uint64_t* collisions) {
-    auto bucket = index_.find(hash);
-    if (bucket == index_.end()) return nullptr;
-    for (auto node_it : bucket->second) {
-      if (node_it->encoding == encoding) {
-        nodes_.splice(nodes_.begin(), nodes_, node_it);
-        return &nodes_.front().value;
-      }
-    }
-    ++*collisions;
-    return nullptr;
-  }
-
-  void Insert(uint64_t hash, std::string encoding, Value value,
-              uint64_t* evictions) {
-    nodes_.push_front(Node{hash, std::move(encoding), std::move(value)});
-    index_[hash].push_back(nodes_.begin());
-    while (nodes_.size() > max_entries_) {
-      auto last = std::prev(nodes_.end());
-      auto bucket = index_.find(last->hash);
-      auto& chain = bucket->second;
-      chain.erase(std::remove(chain.begin(), chain.end(), last), chain.end());
-      if (chain.empty()) index_.erase(bucket);
-      nodes_.pop_back();
-      ++*evictions;
-    }
-  }
-
-  size_t size() const { return nodes_.size(); }
-
-  void Clear() {
-    nodes_.clear();
-    index_.clear();
-  }
-
- private:
-  struct Node {
-    uint64_t hash;
-    std::string encoding;
-    Value value;
-  };
-  using NodeList = std::list<Node>;
-
-  size_t max_entries_;
-  NodeList nodes_;  ///< front = most recently used
-  std::unordered_map<uint64_t, std::vector<typename NodeList::iterator>>
-      index_;
-};
-
-}  // namespace internal
 
 /// Memoizing front-end for the LP feasibility oracle — the single choke
 /// point every expensive decision in the system flows through (DNF pruning,
@@ -100,17 +31,15 @@ class CanonicalLruCache {
 ///    whether `system AND NOT(atom)` is satisfiable, the redundancy /
 ///    implication primitive.
 ///
-/// The default backing store is an activity-managed lemma database
+/// The one backing store is an activity-managed lemma database
 /// (engine/lemma_db.h): lemmas survive across queries, are scored by
 /// activity with periodic decay, evicted by quality tier instead of
 /// recency, and carry per-database-disjunct occurrence lists that make
 /// InvalidateDisjunct() possible. The lemma DB's lifetime is decoupled
 /// from the kernel — pass a shared_ptr to share one store across several
 /// kernels (ScopedKernel scopes, server worker kernels); by default a
-/// memoizing kernel creates its own. Options::use_lemma_db = false keeps
-/// the original per-kernel LRU maps as a measured baseline
-/// (bench_reglfp's BM_LemmaDbVsLru); verdicts are byte-identical under
-/// either backend, or with memoization off — only hit rates differ.
+/// memoizing kernel creates its own. Verdicts are byte-identical with
+/// memoization on or off — only hit rates differ.
 ///
 /// All kernel state is guarded by a mutex (the lemma DB has its own) so a
 /// later PR can fan region-quantifier expansion out across threads against
@@ -125,26 +54,19 @@ class ConstraintKernel {
   struct Options {
     /// Off switch for all memoization (ablation).
     bool memoize = true;
-    /// Occupancy bound: the lemma DB's unified pool, or each LRU map
-    /// separately under use_lemma_db = false.
+    /// Occupancy bound of the lemma DB's unified pool.
     size_t max_entries = 1u << 18;
-    /// Backend selector: the activity-managed lemma database (default) or
-    /// the legacy per-kernel LRU maps (the measured baseline).
-    bool use_lemma_db = true;
   };
 
   ConstraintKernel() : ConstraintKernel(Options()) {}
   explicit ConstraintKernel(Options options)
       : ConstraintKernel(options, nullptr) {}
   /// Attaches an externally owned lemma database (shared across kernels;
-  /// ignored under memoize = false). When `lemmas` is null and the options
-  /// ask for the lemma backend, the kernel creates its own store sized by
-  /// Options::max_entries.
+  /// ignored under memoize = false). When `lemmas` is null and memoization
+  /// is on, the kernel creates its own store sized by Options::max_entries.
   ConstraintKernel(Options options, std::shared_ptr<LemmaDatabase> lemmas)
-      : options_(options),
-        feasibility_cache_(options.max_entries),
-        implication_cache_(options.max_entries) {
-    if (options_.memoize && options_.use_lemma_db) {
+      : options_(options) {
+    if (options_.memoize) {
       if (lemmas != nullptr) {
         lemma_db_ = std::move(lemmas);
       } else {
@@ -195,37 +117,25 @@ class ConstraintKernel {
 
   const Options& options() const { return options_; }
 
-  /// The backing lemma database, or null (LRU backend / memoize off). Its
+  /// The backing lemma database, or null (memoize off). Its
   /// lifetime is independent of this kernel: hold the shared_ptr to keep
   /// lemmas alive across ScopedKernel scopes and kernel teardowns.
   const std::shared_ptr<LemmaDatabase>& lemma_db() const { return lemma_db_; }
 
-  /// Inline-cache invalidation epoch (plan/vm.h): moves whenever cached
-  /// verdict identity changes — ClearCache(), lemma invalidation, lemma-DB
-  /// Clear(). The VM pins (kernel pointer, epoch) per inline-cache slot
-  /// and drops the slot when either moves, so a cleared kernel can never
-  /// serve a stale inline-cache hit.
-  uint64_t CacheEpoch() const {
-    const uint64_t own = clear_epoch_.load(std::memory_order_relaxed);
-    return lemma_db_ != nullptr ? own + lemma_db_->epoch() : own;
-  }
-
-  /// Forwards to LemmaDatabase::BindDisjuncts (no-op under LRU/memoize
-  /// off): indexes the representation's disjuncts so subsequent lemmas
+  /// Forwards to LemmaDatabase::BindDisjuncts (no-op under memoize off): indexes the representation's disjuncts so subsequent lemmas
   /// carry occurrence lists. The evaluator calls this once per Evaluate
   /// with the extension's database representation.
   void BindLemmaOccurrences(const DnfFormula& representation);
 
   /// Forwards to LemmaDatabase::InvalidateDisjunct (returns 0 under
-  /// LRU/memoize off): drops exactly the lemmas whose occurrence lists
-  /// mention `disjunct` and bumps the cache epoch.
+  /// memoize off): drops exactly the lemmas whose occurrence lists
+  /// mention `disjunct`.
   size_t InvalidateDisjunct(DisjunctId disjunct);
 
   KernelStats stats() const;
   void ResetStats();
-  /// Drops all cached entries (stats are kept) and bumps the cache epoch.
-  /// Under the lemma backend this clears the attached store — which may be
-  /// shared with other kernels.
+  /// Drops all cached entries (stats are kept). This clears the attached
+  /// lemma store — which may be shared with other kernels.
   void ClearCache();
 
  private:
@@ -240,12 +150,9 @@ class ConstraintKernel {
   /// at attach/ResetStats time: stats() reports the delta since then.
   LemmaDbStats lemma_baseline_;
   std::shared_ptr<LemmaDatabase> lemma_db_;
-  std::atomic<uint64_t> clear_epoch_{0};
-  internal::CanonicalLruCache<FeasibilityResult> feasibility_cache_;
-  internal::CanonicalLruCache<bool> implication_cache_;
 };
 
-/// The process-wide default kernel (memoizing, default LRU bound).
+/// The process-wide default kernel (memoizing, default lemma-DB bound).
 ConstraintKernel& DefaultKernel();
 
 /// The kernel all oracle consumers route through: the innermost

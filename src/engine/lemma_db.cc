@@ -253,10 +253,6 @@ size_t LemmaDatabase::InvalidateDisjunct(DisjunctId disjunct) {
     }
   }
   stats_.invalidations += dropped;
-  // The epoch moves even on an empty drop: callers use it as the "the
-  // database changed under you" signal for inline caches, independent of
-  // whether any lemma happened to mention the disjunct.
-  BumpEpoch();
   return dropped;
 }
 
@@ -275,7 +271,6 @@ void LemmaDatabase::Clear() {
   entries_.clear();
   index_.clear();
   for (auto& bucket : disjunct_lemmas_) bucket.clear();
-  BumpEpoch();
 }
 
 size_t LemmaDatabase::size() const {

@@ -2,7 +2,6 @@
 #define LCDB_ENGINE_LEMMA_DB_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -65,11 +64,10 @@ struct LemmaDbStats {
   }
 };
 
-/// Cross-query, activity-managed store of kernel lemmas — the CDCL-style
-/// replacement for the kernel's per-instance LRU caches (in the style of
-/// QBF/SAT learnt-constraint databases: score by activity with periodic
-/// decay, bump on use, evict by quality tier, keep occurrence lists for
-/// targeted invalidation).
+/// Cross-query, activity-managed store of kernel lemmas — the kernel's one
+/// verdict cache, in the style of QBF/SAT learnt-constraint databases:
+/// score by activity with periodic decay, bump on use, evict by quality
+/// tier, keep occurrence lists for targeted invalidation.
 ///
 /// A lemma is a proved fact about a canonical constraint system, keyed by
 /// its canonical byte encoding (constraint/canonical.h):
@@ -88,7 +86,7 @@ struct LemmaDbStats {
 /// across ScopedKernel scopes, and across kernels (a kernel holds a
 /// shared_ptr; see ConstraintKernel).
 ///
-/// Replacement protocol (vs the old LRU):
+/// Replacement protocol:
 ///  * every hit bumps the lemma's activity by a geometrically growing
 ///    increment — the classic constant-time equivalent of multiplying
 ///    every other lemma's score by `activity_decay` each period;
@@ -105,19 +103,16 @@ struct LemmaDbStats {
 /// disjuncts share at least one atom with it. InvalidateDisjunct(i) drops
 /// exactly the live lemmas whose occurrence lists mention disjunct `i` —
 /// the hook incremental re-evaluation needs when one disjunct of the
-/// database changes. Invalidation and Clear() bump the epoch, which the
-/// VM's inline caches compare through ConstraintKernel::CacheEpoch().
+/// database changes.
 ///
-/// Thread safety: all state is guarded by an internal mutex; the epoch is
-/// additionally readable lock-free (relaxed atomic) for the VM fast path.
+/// Thread safety: all state is guarded by an internal mutex.
 class LemmaDatabase {
  public:
   enum class Tier : uint8_t { kCore = 0, kFrequent = 1, kTransient = 2 };
 
   struct Options {
     /// Occupancy bound over the unified store (feasibility + implication
-    /// lemmas share one pool; the LRU predecessor bounded two separate
-    /// maps — a sanctioned accounting delta, see DESIGN.md).
+    /// lemmas share one pool).
     size_t max_entries = 1u << 18;
     /// Multiplicative decay applied to all activities each period
     /// (implemented as growth of the bump increment).
@@ -165,8 +160,8 @@ class LemmaDatabase {
   /// occurrence lists (the lemmas themselves stay — they are pure truths).
   void BindDisjuncts(const DnfFormula& representation);
 
-  /// Drops every live lemma whose occurrence list mentions `disjunct`,
-  /// bumps the epoch, and returns the number dropped.
+  /// Drops every live lemma whose occurrence list mentions `disjunct` and
+  /// returns the number dropped.
   size_t InvalidateDisjunct(DisjunctId disjunct);
 
   /// Live lemmas currently mentioning `disjunct` (what InvalidateDisjunct
@@ -175,17 +170,12 @@ class LemmaDatabase {
 
   // --- Introspection ---
 
-  void Clear();  ///< Drops all lemmas and bumps the epoch (stats kept).
+  void Clear();  ///< Drops all lemmas (stats kept).
   size_t size() const;
   size_t capacity() const { return options_.max_entries; }
   /// Live-entry counts indexed by Tier (core, frequent, transient).
   std::array<size_t, 3> TierCounts() const;
   LemmaDbStats stats() const;
-
-  /// Invalidation epoch: bumped by Clear() and InvalidateDisjunct(). The
-  /// VM's inline caches pin the epoch they were filled under and drop
-  /// slots when it moves (ConstraintKernel::CacheEpoch).
-  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
  private:
   struct LemmaValue {
@@ -213,12 +203,10 @@ class LemmaDatabase {
   void EraseLocked(uint64_t id, Entry& entry, uint64_t* tier_counter);
   std::vector<DisjunctId> OccurrencesOfLocked(
       const std::vector<LinearAtom>& atoms) const;
-  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_relaxed); }
 
   const Options options_;
   mutable std::mutex mu_;
   LemmaDbStats stats_;
-  std::atomic<uint64_t> epoch_{0};
 
   uint64_t next_id_ = 0;
   double activity_inc_ = 1.0;

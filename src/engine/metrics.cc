@@ -148,10 +148,6 @@ void MetricsRegistry::RegisterOpTimings(const OpTimings& timings) {
 
 void MetricsRegistry::RegisterVmStats(const VmStats& s) {
   Count("vm.instructions", s.instructions);
-  Count("vm.icache_hits", s.icache_hits);
-  Count("vm.icache_misses", s.icache_misses);
-  Count("vm.icache_invalidations", s.icache_invalidations);
-  Count("vm.icache_bypasses", s.icache_bypasses);
   Gauge("vm.procs", s.procs);
   Gauge("vm.code_instructions", s.code_instructions);
 }

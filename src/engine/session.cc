@@ -66,9 +66,6 @@ QuerySession::LadderState QuerySession::InitialLadder(
   // The fixed drop order DESIGN.md documents: shed the newest/most
   // speculative machinery first, the answer-preserving basics last.
   if (options_.eval.use_bytecode) ladder.rungs.push_back("vm->tree");
-  if (ladder.kernel.memoize && ladder.kernel.use_lemma_db) {
-    ladder.rungs.push_back("lemma->lru");
-  }
   if (ladder.kernel.memoize) ladder.rungs.push_back("memoize->off");
   if (ladder.trace) ladder.rungs.push_back("trace->off");
   return ladder;
@@ -84,8 +81,6 @@ bool QuerySession::Degrade(LadderState& ladder, Evaluator& evaluator,
     // fingerprint treats VM and tree walk as one backend, so an in-flight
     // checkpoint replays on the tree side (core/resume.h).
     evaluator.mutable_options().use_bytecode = false;
-  } else if (rung == "lemma->lru") {
-    ladder.kernel.use_lemma_db = false;
   } else if (rung == "memoize->off") {
     ladder.kernel.memoize = false;
   } else if (rung == "trace->off") {
@@ -145,11 +140,7 @@ Result<QueryAnswer> QuerySession::RunLadder(const FormulaNode& query,
     // cached by the configuration that just failed. The shared lemma store
     // (when configured) survives on purpose — its verdicts are
     // backend-independent.
-    ConstraintKernel kernel(
-        ladder.kernel,
-        (ladder.kernel.memoize && ladder.kernel.use_lemma_db)
-            ? options_.lemmas
-            : nullptr);
+    ConstraintKernel kernel(ladder.kernel, options_.lemmas);
     ScopedKernel scoped_kernel(kernel);
     std::unique_ptr<QueryGovernor> governor;
     std::unique_ptr<ScopedGovernor> scoped_governor;

@@ -104,7 +104,6 @@ class Lowerer {
       proc.origin = b.origin;
       program_.procs.push_back(std::move(proc));
     }
-    program_.num_icache_slots = next_icache_;
     return std::move(program_);
   }
 
@@ -476,7 +475,7 @@ class Lowerer {
         program_.rbit_sites.push_back(
             VmRbitSite{RegionSlot(node.region_args[0]),
                        RegionSlot(node.region_args[1])});
-        Emit(VmOp::kRbitFinish, dest, src, NextIcache(),
+        Emit(VmOp::kRbitFinish, dest, src, 0,
              static_cast<uint32_t>(program_.rbit_sites.size() - 1), &node);
         FreeS();
         Emit(VmOp::kEndOp, 0, 0, 0, kOpTimed, &node);
@@ -485,7 +484,7 @@ class Lowerer {
       case PlanOp::kNonEmpty: {
         const uint32_t src = AllocS();
         LowerSym(*node.children[0], src);
-        Emit(VmOp::kNonEmpty, dest, src, NextIcache(), 0, &node);
+        Emit(VmOp::kNonEmpty, dest, src, 0, 0, &node);
         FreeS();
         break;
       }
@@ -495,8 +494,6 @@ class Lowerer {
     Emit(VmOp::kLeaveBool, dest, 0, 0, memo, &node);
     Cur().code[enter].b = Here();
   }
-
-  uint32_t NextIcache() { return next_icache_++; }
 
   /// Leaf-site ids of the opaque leaves of a member body, each lowered to a
   /// boolean proc on first request.
@@ -537,7 +534,6 @@ class Lowerer {
   std::set<std::string> set_names_;
   std::map<std::string, uint32_t> region_slots_;
   std::map<std::string, uint32_t> set_slots_;
-  uint32_t next_icache_ = 0;
 };
 
 std::string Pc(size_t pc) {
@@ -677,12 +673,8 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
                   leaves(program.closure_sites[in.imm].leaves);
           break;
         case VmOp::kRbitFinish:
-          line += "b" + std::to_string(in.a) + " s" + std::to_string(in.b) +
-                  " ic" + std::to_string(in.c);
-          break;
         case VmOp::kNonEmpty:
-          line += "b" + std::to_string(in.a) + " s" + std::to_string(in.b) +
-                  " ic" + std::to_string(in.c);
+          line += "b" + std::to_string(in.a) + " s" + std::to_string(in.b);
           break;
         case VmOp::kJmp:
           line += "->" + Pc(in.b);
@@ -754,8 +746,7 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
     out += "\n";
   }
   out += "-- " + std::to_string(program.procs.size()) + " proc(s), " +
-         std::to_string(program.TotalInstructions()) + " instruction(s), " +
-         std::to_string(program.num_icache_slots) + " inline cache slot(s)\n";
+         std::to_string(program.TotalInstructions()) + " instruction(s)\n";
   return out;
 }
 

@@ -59,8 +59,8 @@ enum class VmOp : uint8_t {
   kSetMember,       ///< b[a] = tuple(list imm) in senv[b]'s current stage
   kFixpointMember,  ///< b[a] = tuple in the engine's fixpoint set (site imm)
   kClosureMember,   ///< b[a] = closure(site imm)[from][to]
-  kRbitFinish,      ///< b[a] = rBIT verdict of body s[b]; site imm, icache c
-  kNonEmpty,        ///< b[a] = !s[b].IsEmpty(); inline cache slot c
+  kRbitFinish,      ///< b[a] = rBIT verdict of body s[b]; site imm
+  kNonEmpty,        ///< b[a] = !s[b].IsEmpty()
   // ---- Control flow (jump targets are within-proc pcs).
   kJmp,            ///< pc = b
   kJmpIfSymFalse,  ///< if s[a].IsSyntacticallyFalse() pc = b
@@ -171,7 +171,6 @@ struct BytecodeProgram {
   std::vector<VmClosureSite> closure_sites;
   std::vector<VmLeafSite> leaf_sites;
   std::vector<VmRbitSite> rbit_sites;
-  size_t num_icache_slots = 0;
   size_t num_columns = 0;
   size_t num_regions = 0;
   CompiledPlan plan;  ///< keepalive for the node pointers above

@@ -1,11 +1,8 @@
 #include "plan/executor.h"
 
-#include <chrono>
 #include <string>
 
-#include "constraint/simplify.h"
 #include "engine/governor.h"
-#include "engine/kernel.h"
 #include "geometry/convex_closure.h"
 #include "plan/op_timer.h"
 #include "qe/fourier_motzkin.h"
@@ -22,34 +19,11 @@ PlanExecutor::PlanExecutor(const CompiledPlan& plan,
     : plan_(plan), ext_(ext), options_(options), stats_(stats),
       num_columns_(plan.num_columns) {}
 
-/// EXPLAIN ANALYZE measurement of one uncached node evaluation: inclusive
-/// wall-clock plus deltas of the ambient kernel and governor counters. An
-/// unwinding QueryInterrupt skips the recording, which is the right answer —
-/// a tripped node never produced a result to attribute.
 template <typename Fn>
 auto PlanExecutor::Profiled(const PlanNode& node, Fn&& eval) {
-  const KernelStats kernel_before = CurrentKernel().stats();
-  QueryGovernor* governor = CurrentGovernorOrNull();
-  const uint64_t checkpoints_before =
-      governor != nullptr ? governor->stats().checkpoints : 0;
-  const auto start = std::chrono::steady_clock::now();
+  const NodeProfileBracket bracket;
   auto result = eval();
-  PlanNodeProfile& p = (*profile_)[&node];
-  p.total_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  const KernelStats kernel_after = CurrentKernel().stats();
-  p.kernel_queries +=
-      (kernel_after.feasibility_queries - kernel_before.feasibility_queries) +
-      (kernel_after.implication_queries - kernel_before.implication_queries);
-  p.kernel_cache_hits +=
-      (kernel_after.cache_hits - kernel_before.cache_hits) +
-      (kernel_after.implication_cache_hits -
-       kernel_before.implication_cache_hits);
-  if (governor != nullptr) {
-    p.governor_checkpoints +=
-        governor->stats().checkpoints - checkpoints_before;
-  }
+  bracket.Record((*profile_)[&node]);
   return result;
 }
 
@@ -321,8 +295,13 @@ bool PlanExecutor::EvalBoolUncached(const PlanNode& node, RegionEnv& renv,
                                                : Relations().Closure(node);
       return relation.Test(tuple.data());
     }
-    case PlanOp::kRbitMember:
-      return EvalRbit(node, renv, senv);
+    case PlanOp::kRbitMember: {
+      ScopedOpTimer timer(&stats_->op_timings, node.op);
+      const DnfFormula body = Eval(*node.children[0], renv, senv);
+      return DecideRbit(ext_, node, body, num_columns_,
+                        renv.at(node.region_args[0]),
+                        renv.at(node.region_args[1]));
+    }
     case PlanOp::kNonEmpty:
       // Element-sort subtree in a boolean context: all element variables
       // inside are bound, so the child's formula is constant — test
@@ -332,40 +311,6 @@ bool PlanExecutor::EvalBoolUncached(const PlanNode& node, RegionEnv& renv,
       LCDB_CHECK_MSG(false, "symbolic operator in boolean context");
       return false;
   }
-}
-
-/// rBIT (Definition 5.1): see core/rbit.cc, whose algorithm this ports onto
-/// the plan's precompiled column payload.
-bool PlanExecutor::EvalRbit(const PlanNode& node, RegionEnv& renv,
-                            SetEnv& senv) {
-  ScopedOpTimer timer(&stats_->op_timings, node.op);
-  DnfFormula body = Eval(*node.children[0], renv, senv);
-  const size_t col = node.column;
-  for (size_t c = 0; c < num_columns_; ++c) {
-    if (c != col && VariableOccurs(body, c)) {
-      // Cannot happen for type-checked queries.
-      LCDB_CHECK_MSG(false, "rBIT body depends on another element variable");
-    }
-  }
-  // Singleton test: nonempty, and implied to equal its witness value.
-  Vec witness = body.FindWitness();
-  if (witness.empty()) return false;  // empty set: no unique rational
-  const Rational a = witness[col];
-  Vec point_coeffs(num_columns_);
-  point_coeffs[col] = Rational(1);
-  DnfFormula exactly_a =
-      DnfFormula::FromAtom(LinearAtom(point_coeffs, RelOp::kEq, a));
-  if (!Implies(body, exactly_a)) return false;  // more than one value
-
-  const size_t rn = renv.at(node.region_args[0]);
-  const size_t rd = renv.at(node.region_args[1]);
-  if (a.IsZero()) {
-    return rn == rd && ext_.RegionDim(rn) > 0;
-  }
-  if (ext_.RegionDim(rn) != 0 || ext_.RegionDim(rd) != 0) return false;
-  const size_t i = ext_.ZeroDimRank(rn);
-  const size_t j = ext_.ZeroDimRank(rd);
-  return a.num().Bit(i) && a.den().Bit(j);
 }
 
 }  // namespace lcdb

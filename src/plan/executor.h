@@ -67,12 +67,11 @@ class PlanExecutor : private RegionLeafEvaluator {
   bool EvalBool(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
   bool EvalBoolUncached(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
 
-  /// Wraps one uncached evaluation with the profile measurements
-  /// (profiling mode only; `rows` extracts the result cardinality).
+  /// Wraps one uncached evaluation in a NodeProfileBracket (profiling mode
+  /// only).
   template <typename Fn>
   auto Profiled(const PlanNode& node, Fn&& eval);
 
-  bool EvalRbit(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
   /// The fixpoint/closure engine, constructed on the first member site.
   RegionRelationEngine& Relations();
   bool EvalOpaqueLeaf(const PlanNode& leaf, const std::vector<size_t>& values,

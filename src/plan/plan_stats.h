@@ -72,13 +72,6 @@ using OpTimings = std::map<std::string, OpTiming>;
 struct VmStats {
   /// Instructions the dispatch loop executed.
   uint64_t instructions = 0;
-  /// Inline-cache outcomes at kernel call sites (kNonEmpty / kRbitFinish):
-  /// hits skip the kernel entirely; invalidations are kernel swaps observed
-  /// under ScopedKernel; bypasses are formulas over the disjunct cap.
-  uint64_t icache_hits = 0;
-  uint64_t icache_misses = 0;
-  uint64_t icache_invalidations = 0;
-  uint64_t icache_bypasses = 0;
   /// Shape of the lowered program (gauges): procedures and total code size.
   uint64_t procs = 0;
   uint64_t code_instructions = 0;

@@ -1,16 +1,17 @@
 #include "plan/region_relations.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 
 #include "constraint/canonical.h"
+#include "constraint/simplify.h"
 #include "core/pfp_cycle.h"
 #include "core/resume.h"
 #include "engine/governor.h"
 #include "engine/kernel.h"
 #include "engine/trace.h"
 #include "plan/op_timer.h"
+#include "qe/fourier_motzkin.h"
 #include "util/failpoint.h"
 #include "util/interrupt.h"
 #include "util/status.h"
@@ -168,6 +169,35 @@ bool DecideRegionAtom(const RegionExtension& ext, const PlanNode& atom,
       LCDB_CHECK_MSG(false, "not a region atom");
       return false;
   }
+}
+
+bool DecideRbit(const RegionExtension& ext, const PlanNode& node,
+                const DnfFormula& body, size_t num_columns, size_t rn,
+                size_t rd) {
+  const size_t col = node.column;
+  for (size_t c = 0; c < num_columns; ++c) {
+    if (c != col && VariableOccurs(body, c)) {
+      // Cannot happen for type-checked queries.
+      LCDB_CHECK_MSG(false, "rBIT body depends on another element variable");
+    }
+  }
+  // Singleton test: nonempty, and implied to equal its witness value.
+  Vec witness = body.FindWitness();
+  if (witness.empty()) return false;  // empty set: no unique rational
+  const Rational a = witness[col];
+  Vec point_coeffs(num_columns);
+  point_coeffs[col] = Rational(1);
+  DnfFormula exactly_a =
+      DnfFormula::FromAtom(LinearAtom(point_coeffs, RelOp::kEq, a));
+  if (!Implies(body, exactly_a)) return false;  // more than one value
+
+  if (a.IsZero()) {
+    return rn == rd && ext.RegionDim(rn) > 0;
+  }
+  if (ext.RegionDim(rn) != 0 || ext.RegionDim(rd) != 0) return false;
+  const size_t i = ext.ZeroDimRank(rn);
+  const size_t j = ext.ZeroDimRank(rd);
+  return a.num().Bit(i) && a.den().Bit(j);
 }
 
 bool IsOpaqueRegionLeaf(const PlanNode& node, size_t num_regions) {
@@ -531,22 +561,11 @@ RegionRelation RegionRelationEngine::Eval(const PlanNode& node,
   if (profile_ == nullptr) return EvalNode(node, schema, ctx, frame);
   // EXPLAIN ANALYZE: one call per set-at-a-time evaluation; rows is the
   // size of the relation over the context.
-  const KernelStats kernel_before = CurrentKernel().stats();
-  const auto start = std::chrono::steady_clock::now();
+  const NodeProfileBracket bracket;
   RegionRelation result = EvalNode(node, schema, ctx, frame);
   PlanNodeProfile& p = (*profile_)[&node];
   ++p.calls;
-  p.total_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  const KernelStats kernel_after = CurrentKernel().stats();
-  p.kernel_queries +=
-      (kernel_after.feasibility_queries - kernel_before.feasibility_queries) +
-      (kernel_after.implication_queries - kernel_before.implication_queries);
-  p.kernel_cache_hits +=
-      (kernel_after.cache_hits - kernel_before.cache_hits) +
-      (kernel_after.implication_cache_hits -
-       kernel_before.implication_cache_hits);
+  bracket.Record(p);
   RegionRelation live = result;
   live.AndWith(ctx);
   p.rows = live.Count();

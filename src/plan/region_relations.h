@@ -93,6 +93,15 @@ inline constexpr size_t kMaxRelationTuples = size_t{1} << 24;
 bool DecideRegionAtom(const RegionExtension& ext, const PlanNode& atom,
                       size_t r0, size_t r1);
 
+/// The single rBIT decision (Definition 5.1) shared by the executors, over
+/// the already-evaluated body formula of the kRbitMember `node`: when the
+/// body defines exactly one rational a in column node.column, whether the
+/// region pair (rn, rd) encodes a. See core/rbit.cc, the legacy walk's copy,
+/// for the two cases.
+bool DecideRbit(const RegionExtension& ext, const PlanNode& node,
+                const DnfFormula& body, size_t num_columns, size_t rn,
+                size_t rd);
+
 /// True iff the engine evaluates `node`, a boolean node inside a fixpoint or
 /// closure body, tuple-at-a-time through the owning executor: element-sort
 /// leaves (kNonEmpty, kRbitMember), and connectives or quantifiers whose

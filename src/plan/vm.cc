@@ -5,10 +5,7 @@
 #include <utility>
 
 #include "analysis/bytecode_verify.h"
-#include "constraint/canonical.h"
-#include "constraint/simplify.h"
 #include "engine/governor.h"
-#include "engine/kernel.h"
 #include "engine/trace.h"
 #include "geometry/convex_closure.h"
 #include "plan/executor.h"
@@ -26,8 +23,7 @@ BytecodeVm::BytecodeVm(const BytecodeProgram& program,
     : program_(program), ext_(ext), options_(options), stats_(stats),
       num_columns_(program.num_columns),
       renv_(program.region_slot_names.size(), 0),
-      senv_(program.set_slot_names.size()),
-      icache_(program.num_icache_slots) {
+      senv_(program.set_slot_names.size()) {
   for (size_t i = 0; i < program.leaf_sites.size(); ++i) {
     leaf_index_.emplace(program.leaf_sites[i].node, static_cast<uint32_t>(i));
   }
@@ -121,45 +117,6 @@ void BytecodeVm::BuildKey(const VmMemoDesc& desc, Tuple* key) const {
   for (uint32_t slot : desc.set_slots) key->push_back(senv_[slot].version);
 }
 
-std::string BytecodeVm::Fingerprint(const DnfFormula& f) const {
-  std::string key;
-  for (const Conjunction& c : f.disjuncts()) {
-    key += CanonicalizeConjunction(c).encoding;
-    key += ';';
-  }
-  return key;
-}
-
-bool BytecodeVm::IcacheLookup(uint32_t slot, const std::string& key,
-                              bool* verdict) {
-  IcacheSlot& s = icache_[slot];
-  const ConstraintKernel* kernel = &CurrentKernel();
-  const uint64_t epoch = kernel->CacheEpoch();
-  if (s.kernel != nullptr && (s.kernel != kernel || s.epoch != epoch)) {
-    // A ScopedKernel swap changed the ambient oracle under us, or the
-    // kernel's caches were cleared / lemma-invalidated since the fill: the
-    // cached verdict belongs to a retired cache generation, drop it.
-    ++stats_->vm.icache_invalidations;
-    s.kernel = nullptr;
-    s.key.clear();
-  }
-  if (s.kernel == kernel && s.key == key) {
-    ++stats_->vm.icache_hits;
-    *verdict = s.verdict;
-    return true;
-  }
-  ++stats_->vm.icache_misses;
-  return false;
-}
-
-void BytecodeVm::IcacheStore(uint32_t slot, std::string key, bool verdict) {
-  IcacheSlot& s = icache_[slot];
-  s.kernel = &CurrentKernel();
-  s.epoch = s.kernel->CacheEpoch();
-  s.key = std::move(key);
-  s.verdict = verdict;
-}
-
 void BytecodeVm::PushOpFrame(const PlanNode& node) {
   OpFrame frame;
   frame.op = node.op;
@@ -243,15 +200,7 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
           }
         }
         if (profile_ != nullptr) {
-          ProfileFrame frame;
-          frame.node = node;
-          frame.kernel_before = CurrentKernel().stats();
-          QueryGovernor* governor = CurrentGovernorOrNull();
-          frame.governed = governor != nullptr;
-          frame.checkpoints_before =
-              governor != nullptr ? governor->stats().checkpoints : 0;
-          frame.start = std::chrono::steady_clock::now();
-          profile_stack_.push_back(std::move(frame));
+          profile_stack_.push_back(ProfileFrame{node, NodeProfileBracket()});
         }
         break;
       }
@@ -259,27 +208,10 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
       case VmOp::kLeaveBool: {
         const bool symbolic = in.op == VmOp::kLeaveSym;
         if (profile_ != nullptr) {
-          ProfileFrame frame = std::move(profile_stack_.back());
-          profile_stack_.pop_back();
+          const ProfileFrame& frame = profile_stack_.back();
           PlanNodeProfile& p = (*profile_)[frame.node];
-          p.total_ns +=
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - frame.start)
-                  .count();
-          const KernelStats after = CurrentKernel().stats();
-          p.kernel_queries += (after.feasibility_queries -
-                               frame.kernel_before.feasibility_queries) +
-                              (after.implication_queries -
-                               frame.kernel_before.implication_queries);
-          p.kernel_cache_hits +=
-              (after.cache_hits - frame.kernel_before.cache_hits) +
-              (after.implication_cache_hits -
-               frame.kernel_before.implication_cache_hits);
-          QueryGovernor* governor = CurrentGovernorOrNull();
-          if (frame.governed && governor != nullptr) {
-            p.governor_checkpoints +=
-                governor->stats().checkpoints - frame.checkpoints_before;
-          }
+          frame.bracket.Record(p);
+          profile_stack_.pop_back();
           p.rows = symbolic ? S(in.a).disjuncts().size() : (B(in.a) ? 1 : 0);
         }
         if (in.imm != 0 && options_.memoize) {
@@ -386,25 +318,17 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
         B(in.a) = closure.Test(key.data()) ? 1 : 0;
         break;
       }
-      case VmOp::kRbitFinish:
-        B(in.a) = EvalRbitFinish(in, S(in.b)) ? 1 : 0;
-        break;
-      case VmOp::kNonEmpty: {
-        const DnfFormula& f = S(in.b);
-        bool nonempty;
-        if (f.disjuncts().size() > kIcacheMaxDisjuncts) {
-          ++stats_->vm.icache_bypasses;
-          nonempty = !f.IsEmpty();
-        } else {
-          std::string fp_key = Fingerprint(f);
-          if (!IcacheLookup(in.c, fp_key, &nonempty)) {
-            nonempty = !f.IsEmpty();
-            IcacheStore(in.c, std::move(fp_key), nonempty);
-          }
-        }
-        B(in.a) = nonempty ? 1 : 0;
+      case VmOp::kRbitFinish: {
+        const VmRbitSite& site = program_.rbit_sites[in.imm];
+        B(in.a) = DecideRbit(ext_, *in.node, S(in.b), num_columns_,
+                             renv_[site.rn_slot], renv_[site.rd_slot])
+                      ? 1
+                      : 0;
         break;
       }
+      case VmOp::kNonEmpty:
+        B(in.a) = S(in.b).IsEmpty() ? 0 : 1;
+        break;
       // ---- Control flow.
       case VmOp::kJmp:
         pc = in.b;
@@ -475,52 +399,6 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
     }
     ++pc;
   }
-}
-
-/// rBIT epilogue (Definition 5.1) over the already-evaluated body formula;
-/// same algorithm as PlanExecutor::EvalRbit with the implication verdict
-/// behind this site's inline cache.
-bool BytecodeVm::EvalRbitFinish(const VmInstr& in, const DnfFormula& body) {
-  const PlanNode& node = *in.node;
-  const size_t col = node.column;
-  for (size_t c = 0; c < num_columns_; ++c) {
-    if (c != col && VariableOccurs(body, c)) {
-      LCDB_CHECK_MSG(false, "rBIT body depends on another element variable");
-    }
-  }
-  Vec witness = body.FindWitness();
-  if (witness.empty()) return false;  // empty set: no unique rational
-  const Rational a = witness[col];
-  Vec point_coeffs(num_columns_);
-  point_coeffs[col] = Rational(1);
-  DnfFormula exactly_a =
-      DnfFormula::FromAtom(LinearAtom(point_coeffs, RelOp::kEq, a));
-
-  bool implied;
-  if (body.disjuncts().size() > kIcacheMaxDisjuncts) {
-    ++stats_->vm.icache_bypasses;
-    implied = Implies(body, exactly_a);
-  } else {
-    std::string key = Fingerprint(body);
-    key += "=>";
-    key += Fingerprint(exactly_a);
-    if (!IcacheLookup(in.c, key, &implied)) {
-      implied = Implies(body, exactly_a);
-      IcacheStore(in.c, std::move(key), implied);
-    }
-  }
-  if (!implied) return false;  // more than one value
-
-  const VmRbitSite& site = program_.rbit_sites[in.imm];
-  const size_t rn = renv_[site.rn_slot];
-  const size_t rd = renv_[site.rd_slot];
-  if (a.IsZero()) {
-    return rn == rd && ext_.RegionDim(rn) > 0;
-  }
-  if (ext_.RegionDim(rn) != 0 || ext_.RegionDim(rd) != 0) return false;
-  const size_t i = ext_.ZeroDimRank(rn);
-  const size_t j = ext_.ZeroDimRank(rd);
-  return a.num().Bit(i) && a.den().Bit(j);
 }
 
 DnfFormula ExecutePlan(const CompiledPlan& plan, const RegionExtension& ext,

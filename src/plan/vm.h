@@ -9,32 +9,22 @@
 
 #include "core/evaluator.h"
 #include "db/region_extension.h"
-#include "engine/kernel_stats.h"
 #include "plan/bytecode.h"
+#include "plan/op_timer.h"
 #include "plan/region_relations.h"
 
 namespace lcdb {
 
-class ConstraintKernel;
 class QueryTracer;
 
 /// Register-machine interpreter for lowered plans (plan/bytecode.h) — the
 /// `use_bytecode` backend behind the ExecutePlan façade. One flat dispatch
 /// loop replaces the tree executor's recursive virtual walk; the semantic
 /// contract is byte-identical answer formulas, memo hit patterns, governor
-/// checkpoint cadence and op.*/trace telemetry versus PlanExecutor (the
-/// tree walk stays one release as the equivalence oracle; see
-/// plan_equivalence_test.cc).
-///
-/// The one *permitted* divergence is kernel query counts: kernel call sites
-/// (kNonEmpty emptiness tests, the rBIT implication) carry per-site inline
-/// caches — a verdict slot keyed by the full canonical encoding of the
-/// queried system and owned by the kernel it was filled against. A hit
-/// skips the kernel entirely (no lock, no LRU touch); a kernel swap
-/// (ScopedKernel) invalidates on first touch; formulas wider than
-/// kIcacheMaxDisjuncts bypass the cache so fingerprinting can never cost
-/// more than the short-circuiting oracle walk it replaces. Hit/miss/
-/// invalidation/bypass counts land in Stats::vm and reset per Evaluate.
+/// checkpoint cadence, kernel query counts and op.*/trace telemetry versus
+/// PlanExecutor (see plan_equivalence_test.cc). Kernel call sites
+/// (kNonEmpty emptiness tests, the rBIT implication) ask the ambient
+/// kernel, whose lemma database is the one cache of kernel verdicts.
 ///
 /// Like the tree executor, the VM is single-query: construct, Run() once,
 /// read the updated stats. The program must outlive the VM.
@@ -53,10 +43,6 @@ class BytecodeVm : private RegionLeafEvaluator {
   /// EXPLAIN ANALYZE sink, same contract as PlanExecutor::EnableProfiling.
   void EnableProfiling(PlanProfile* profile) { profile_ = profile; }
 
-  /// Cap on disjuncts an inline-cache key will fingerprint; wider formulas
-  /// bypass the cache (counted in Stats::vm.icache_bypasses).
-  static constexpr size_t kIcacheMaxDisjuncts = 8;
-
  private:
   using Tuple = std::vector<size_t>;
   /// A set variable bound to the engine's current fixpoint stage.
@@ -72,27 +58,11 @@ class BytecodeVm : private RegionLeafEvaluator {
     uint64_t span_id = 0;
     QueryTracer* tracer = nullptr;
   };
-  /// One in-flight profiled node evaluation (Enter .. Leave), mirroring
-  /// PlanExecutor::Profiled's before-snapshots.
+  /// One in-flight profiled node evaluation (Enter .. Leave), the VM's
+  /// form of PlanExecutor::Profiled.
   struct ProfileFrame {
     const PlanNode* node = nullptr;
-    std::chrono::steady_clock::time_point start;
-    KernelStats kernel_before;
-    uint64_t checkpoints_before = 0;
-    bool governed = false;
-  };
-  /// Per-site kernel verdict slot. `kernel` identifies the owning kernel
-  /// (CurrentKernel() at fill time) and `epoch` pins its
-  /// ConstraintKernel::CacheEpoch() at fill time — a ScopedKernel swap,
-  /// ClearCache(), or lemma-database invalidation moves one of the two and
-  /// drops the slot, so a cleared kernel never serves a stale hit. `key`
-  /// is the *full* canonical encoding, compared exactly — a colliding hash
-  /// can therefore never break tree/VM byte-identity.
-  struct IcacheSlot {
-    const ConstraintKernel* kernel = nullptr;
-    uint64_t epoch = 0;
-    std::string key;
-    bool verdict = false;
+    NodeProfileBracket bracket;
   };
 
   /// Runs `proc_id` in a fresh register frame; the result convention is
@@ -107,13 +77,6 @@ class BytecodeVm : private RegionLeafEvaluator {
   /// the same value sequence PlanExecutor::CacheKey pushes.
   void BuildKey(const VmMemoDesc& desc, Tuple* key) const;
 
-  /// Concatenated canonical encodings of the formula's disjuncts (the
-  /// inline-cache fingerprint). Only called for formulas under the
-  /// disjunct cap.
-  std::string Fingerprint(const DnfFormula& f) const;
-  bool IcacheLookup(uint32_t slot, const std::string& key, bool* verdict);
-  void IcacheStore(uint32_t slot, std::string key, bool verdict);
-
   /// The fixpoint/closure engine shared with the tree executor,
   /// constructed on the first member site.
   RegionRelationEngine& Relations();
@@ -121,7 +84,6 @@ class BytecodeVm : private RegionLeafEvaluator {
   bool EvalOpaqueLeaf(const PlanNode& leaf, const std::vector<size_t>& values,
                       const RegionRelation* stage,
                       size_t stage_version) override;
-  bool EvalRbitFinish(const VmInstr& in, const DnfFormula& body);
 
   void PushOpFrame(const PlanNode& node);
   void CloseOpFrame();
@@ -142,7 +104,6 @@ class BytecodeVm : private RegionLeafEvaluator {
   std::vector<size_t> renv_;
   std::vector<SetBinding> senv_;
 
-  std::vector<IcacheSlot> icache_;
   std::vector<OpFrame> op_stack_;
   std::vector<ProfileFrame> profile_stack_;
 

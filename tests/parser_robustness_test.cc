@@ -143,6 +143,34 @@ TEST(ParserRobustnessTest, NestingPastTheLimitIsAParseError) {
   }
 }
 
+TEST(ParserRobustnessTest, DatabaseFormulaNestingIsCapped) {
+  // A `.lcdb` formula line 100,000 deep used to overflow the constraint
+  // parser's stack (lcdbq exit 139) for `(` and `!` alike.
+  const std::string header = "relation S(x)\nformula ";
+  for (const std::string& formula :
+       {std::string(10000, '(') + "x < 1" + std::string(10000, ')'),
+        std::string(10000, '!') + "x < 1"}) {
+    auto db = LoadDatabaseFromString(header + formula);
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kParseError);
+    EXPECT_NE(db.status().message().find(
+                  "limit of " + std::to_string(kMaxQueryNesting)),
+              std::string::npos);
+  }
+  // Exactly at the limit the formula loads; one level more does not.
+  const std::string parens = std::string(kMaxQueryNesting, '(') + "x < 1" +
+                             std::string(kMaxQueryNesting, ')');
+  auto at_limit = LoadDatabaseFromString(header + parens);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_FALSE(LoadDatabaseFromString(header + "(" + parens + ")").ok());
+  const std::string negations = std::string(kMaxQueryNesting, '!') + "x < 1";
+  auto negated = LoadDatabaseFromString(header + negations);
+  ASSERT_TRUE(negated.ok()) << negated.status().ToString();
+  EXPECT_EQ(negated->representation().ToString(),
+            ParseDnf("x < 1", {"x"})->ToString());  // an even count
+  EXPECT_FALSE(LoadDatabaseFromString(header + "!" + negations).ok());
+}
+
 TEST(ParserRobustnessTest, QueryAtTheNestingLimitEvaluates) {
   // AST depth exactly kMaxQueryNesting: the negations, two quantifier nodes
   // and the relation atom. Typecheck, analysis, planning, verification and

@@ -9,10 +9,13 @@
 //       traced and untraced — tracing must never change an answer.
 // The optimizer's contract is representation preservation, not mere logical
 // equivalence, so the comparison is on ToString() output.
+// (c) and (d) must also ask the kernel the same questions: equal query,
+// oracle-call and hit/miss counters on fresh kernels.
 // LCDB_TEST_DATA_DIR is injected by CMake.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,19 +45,45 @@ ConstraintDatabase Load(const std::string& name) {
 }
 
 /// `stages`, when given, receives the evaluation's fixpoint_iterations.
+/// `traffic`, when given, receives the evaluation's kernel counters, taken
+/// on a fresh kernel with the ambient kernel's options so that no earlier
+/// run's cached verdicts count.
 std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
                       bool use_plan, bool optimize,
-                      bool use_bytecode = false, size_t* stages = nullptr) {
+                      bool use_bytecode = false, size_t* stages = nullptr,
+                      KernelStats* traffic = nullptr) {
   Evaluator::Options options;
   options.use_plan = use_plan;
   options.optimize = optimize;
   options.use_bytecode = use_bytecode;
+  std::unique_ptr<ConstraintKernel> fresh;
+  std::unique_ptr<ScopedKernel> scope;
+  if (traffic != nullptr) {
+    fresh = std::make_unique<ConstraintKernel>(CurrentKernel().options());
+    scope = std::make_unique<ScopedKernel>(*fresh);
+  }
   Evaluator evaluator(ext, options);
   auto answer = evaluator.Evaluate(query);
   EXPECT_TRUE(answer.ok()) << answer.status().ToString();
   if (stages != nullptr) *stages = evaluator.stats().fixpoint_iterations;
+  if (traffic != nullptr) *traffic = evaluator.stats().kernel;
   if (!answer.ok()) return "<error>";
   return answer->ToString();
+}
+
+/// The tree walk and the VM ask the kernel the same questions: the lemma
+/// database is the only cache of kernel verdicts, so even the hit/miss
+/// split is equal.
+void ExpectSameKernelTraffic(const KernelStats& tree, const KernelStats& vm,
+                             const std::string& text) {
+  EXPECT_EQ(tree.feasibility_queries, vm.feasibility_queries) << text;
+  EXPECT_EQ(tree.implication_queries, vm.implication_queries) << text;
+  EXPECT_EQ(tree.oracle_calls, vm.oracle_calls) << text;
+  EXPECT_EQ(tree.cache_hits, vm.cache_hits) << text;
+  EXPECT_EQ(tree.cache_misses, vm.cache_misses) << text;
+  EXPECT_EQ(tree.implication_cache_hits, vm.implication_cache_hits) << text;
+  EXPECT_EQ(tree.implication_cache_misses, vm.implication_cache_misses)
+      << text;
 }
 
 /// `check_raw` additionally runs the unoptimized plan, which executes with
@@ -74,13 +103,17 @@ void ExpectAllModesAgree(const RegionExtension& ext, const std::string& text,
         << "raw plan diverges on: " << text;
     EXPECT_EQ(legacy_stages, stages) << "raw plan stages differ on: " << text;
   }
-  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, false, &stages))
+  KernelStats tree_traffic, vm_traffic;
+  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, false, &stages,
+                              &tree_traffic))
       << "optimized plan diverges on: " << text;
   EXPECT_EQ(legacy_stages, stages)
       << "optimized plan stages differ on: " << text;
-  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, true, &stages))
+  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, true, &stages,
+                              &vm_traffic))
       << "bytecode VM diverges on: " << text;
   EXPECT_EQ(legacy_stages, stages) << "bytecode VM stages differ on: " << text;
+  ExpectSameKernelTraffic(tree_traffic, vm_traffic, text);
   {
     // Traced VM run: span emission sits on the dispatch hot path, so it is
     // swept too — tracing must be observation only.
@@ -208,24 +241,19 @@ TEST(PlanEquivalenceTest, MemoizationOffAgrees) {
 }
 
 TEST(PlanEquivalenceTest, KernelBackendSweep) {
-  // Kernel-backend sweep (satellite of the lemma-database PR): the LRU
-  // baseline, the activity-managed lemma database, and memoize-off must all
-  // produce byte-identical answers, on both the tree walk and the bytecode
-  // VM, across the data/ seed databases and the canned query set. Lemma
-  // truth is a pure function of the canonical encoding, so the backend can
-  // only change hit rates — this sweep is the executable form of that
-  // contract.
+  // Kernel-configuration sweep: the lemma database and memoize-off must
+  // produce byte-identical answers, and equal kernel traffic, on both the
+  // tree walk and the bytecode VM, across the data/ seed databases and the
+  // canned query set. Lemma truth is a pure function of the canonical
+  // encoding, so memoization can only change hit rates — this sweep is the
+  // executable form of that contract.
   struct Backend {
     const char* name;
     ConstraintKernel::Options options;
   };
   const Backend backends[] = {
-      {"lru", {/*memoize=*/true, /*max_entries=*/1u << 18,
-               /*use_lemma_db=*/false}},
-      {"lemma-db", {/*memoize=*/true, /*max_entries=*/1u << 18,
-                    /*use_lemma_db=*/true}},
-      {"memoize-off", {/*memoize=*/false, /*max_entries=*/1u << 18,
-                       /*use_lemma_db=*/false}},
+      {"lemma-db", {/*memoize=*/true}},
+      {"memoize-off", {/*memoize=*/false}},
   };
   for (const char* name : {"triangle.lcdb", "comb.lcdb", "intervals.lcdb",
                            "pentagon.lcdb", "wedge.lcdb"}) {
@@ -242,9 +270,13 @@ TEST(PlanEquivalenceTest, KernelBackendSweep) {
         SCOPED_TRACE(backend.name);
         ConstraintKernel kernel(backend.options);
         ScopedKernel scope(kernel);
-        const std::string tree = AnswerVia(*ext, **query, true, true);
-        const std::string vm = AnswerVia(*ext, **query, true, true, true);
+        KernelStats tree_traffic, vm_traffic;
+        const std::string tree = AnswerVia(*ext, **query, true, true, false,
+                                           nullptr, &tree_traffic);
+        const std::string vm = AnswerVia(*ext, **query, true, true, true,
+                                         nullptr, &vm_traffic);
         EXPECT_EQ(tree, vm);
+        ExpectSameKernelTraffic(tree_traffic, vm_traffic, text);
         if (tree_oracle.empty()) {
           tree_oracle = tree;
           vm_oracle = vm;
@@ -262,7 +294,8 @@ TEST(PlanEquivalenceTest, InterruptResumeSweep) {
   // loop at stage k via the fixpoint.stage failpoint, resume with the token
   // the failure Status carries, and require the final answer byte-identical
   // to an uninterrupted run — across every backend (legacy walk, plan tree,
-  // bytecode VM) x kernel backend (lemma DB, LRU) x interrupt stage.
+  // bytecode VM) x kernel configuration (lemma DB, memoize-off) x
+  // interrupt stage.
   struct Backend {
     const char* name;
     bool use_plan;
@@ -277,10 +310,10 @@ TEST(PlanEquivalenceTest, InterruptResumeSweep) {
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   for (const Backend& backend : backends) {
     SCOPED_TRACE(backend.name);
-    for (bool lemma_db : {true, false}) {
-      SCOPED_TRACE(lemma_db ? "lemma-db" : "lru");
+    for (bool memoize : {true, false}) {
+      SCOPED_TRACE(memoize ? "lemma-db" : "memoize-off");
       ConstraintKernel::Options kernel_options;
-      kernel_options.use_lemma_db = lemma_db;
+      kernel_options.memoize = memoize;
       ConstraintKernel kernel(kernel_options);
       ScopedKernel scope(kernel);
       Evaluator::Options options;

@@ -87,14 +87,13 @@ TEST_F(SessionTest, LadderDropsRungsInOrderOnPersistentFault) {
   EXPECT_EQ(answer.status().code(), StatusCode::kInternal);
   // Every rung dropped, newest machinery first, then nothing left to shed.
   const auto& log = session.degradation_log();
-  ASSERT_EQ(log.size(), 4u);
+  ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0].rung, "vm->tree");
-  EXPECT_EQ(log[1].rung, "lemma->lru");
-  EXPECT_EQ(log[2].rung, "memoize->off");
-  EXPECT_EQ(log[3].rung, "trace->off");
-  EXPECT_EQ(session.stats().degradations, 4u);
-  EXPECT_EQ(session.stats().retries, 4u);
-  EXPECT_EQ(session.stats().attempts, 5u);
+  EXPECT_EQ(log[1].rung, "memoize->off");
+  EXPECT_EQ(log[2].rung, "trace->off");
+  EXPECT_EQ(session.stats().degradations, 3u);
+  EXPECT_EQ(session.stats().retries, 3u);
+  EXPECT_EQ(session.stats().attempts, 4u);
   EXPECT_EQ(session.stats().failures, 1u);
 }
 

@@ -366,15 +366,6 @@ std::vector<BytecodeMutation> BytecodeMutations() {
        },
        {"site id out of range"}});
   ops.push_back(
-      {"icache-out-of-range",
-       [](const BytecodeProgram&, const VmProc&, size_t, const VmInstr& in) {
-         return in.op == VmOp::kNonEmpty || in.op == VmOp::kRbitFinish;
-       },
-       [](const BytecodeProgram& program, const VmProc&, VmInstr& in) {
-         in.c = static_cast<uint32_t>(program.num_icache_slots) + 1;
-       },
-       {"inline-cache slot out of range"}});
-  ops.push_back(
       {"proc-id-out-of-range",
        [](const BytecodeProgram&, const VmProc&, size_t, const VmInstr& in) {
          return in.op == VmOp::kCallSym || in.op == VmOp::kCallBool;

@@ -1,6 +1,5 @@
 // Tests for the plan bytecode pipeline (plan/bytecode.h, plan/vm.h): the
-// disassembler's golden listing, inline-cache hit/miss/invalidation
-// accounting across ScopedKernel swaps, vm.* stats plumbing, the
+// disassembler's golden listing, vm.* stats plumbing, the
 // use_bytecode && !optimize rejection, per-op memo-hit attribution parity
 // between the tree walk and the VM, governor budget trips landing
 // mid-bytecode-loop, and failpoint unwinds leaving the evaluator reusable.
@@ -106,7 +105,7 @@ TEST(VmTest, DisassemblerGolden) {
       "memo m0: regions={}\n"
       "memo m1: regions={R}\n"
       "memo m2: regions={}\n"
-      "-- 1 proc(s), 30 instruction(s), 0 inline cache slot(s)\n");
+      "-- 1 proc(s), 30 instruction(s)\n");
 }
 
 TEST(VmTest, DisassemblerListsEveryProcAndFootersMatch) {
@@ -203,107 +202,6 @@ TEST(VmTest, OpTimingMemoHitsSettleIdentically) {
     ASSERT_NE(it, vm.stats().op_timings.end()) << op;
     EXPECT_EQ(timing.count, it->second.count) << op;
     EXPECT_EQ(timing.memo_hits, it->second.memo_hits) << op;
-  }
-}
-
-TEST(VmTest, InlineCacheHitsAndKernelSwapInvalidation) {
-  // Drive the VM directly across several Run() calls (memoization off so
-  // kernel call sites re-execute): a re-run under the same kernel hits the
-  // inline caches; a ScopedKernel swap invalidates on first touch. The rBIT
-  // site is monomorphic here — the constant body `x > 0` yields the same
-  // implication key for every (R, R') pair — so after the first miss every
-  // later probe under the same kernel is a hit.
-  ConstraintDatabase db = IntervalsDb();
-  auto ext = MakeArrangementExtension(db);
-  ConstraintKernel kernel_a;
-  Evaluator::Options options;
-  options.memoize = false;
-  options.use_bytecode = true;
-  Evaluator::Stats stats;
-  BytecodeProgram program = [&] {
-    ScopedKernel scoped(kernel_a);
-    return Compile(*ext, "exists R R' . [rbit x : x > 0](R, R')");
-  }();
-  ASSERT_GT(program.num_icache_slots, 0u);
-  BytecodeVm vm(program, *ext, options, &stats);
-
-  std::string first;
-  {
-    ScopedKernel scoped(kernel_a);
-    first = vm.Run().ToString();
-  }
-  ASSERT_GT(stats.vm.icache_misses, 0u);
-  EXPECT_EQ(stats.vm.icache_invalidations, 0u);
-  const uint64_t misses_after_first = stats.vm.icache_misses;
-
-  {
-    // Same kernel: every site serves its verdict from the inline cache.
-    ScopedKernel scoped(kernel_a);
-    EXPECT_EQ(vm.Run().ToString(), first);
-  }
-  EXPECT_GT(stats.vm.icache_hits, 0u);
-  EXPECT_EQ(stats.vm.icache_misses, misses_after_first);
-
-  {
-    // Swapped kernel: stale slots are dropped (counted), then refilled.
-    ConstraintKernel kernel_b;
-    ScopedKernel scoped(kernel_b);
-    EXPECT_EQ(vm.Run().ToString(), first);
-  }
-  EXPECT_GT(stats.vm.icache_invalidations, 0u);
-  EXPECT_GT(stats.vm.icache_misses, misses_after_first);
-}
-
-TEST(VmTest, ClearCacheInvalidatesInlineCaches) {
-  // Satellite contract: a cleared kernel must never serve a stale inline-
-  // cache hit. ClearCache() bumps the kernel's cache epoch; every filled
-  // slot was pinned under the old epoch, so the next probe invalidates and
-  // re-misses instead of serving the retired verdict.
-  ConstraintDatabase db = IntervalsDb();
-  auto ext = MakeArrangementExtension(db);
-  ConstraintKernel kernel;
-  Evaluator::Options options;
-  options.memoize = false;
-  options.use_bytecode = true;
-  Evaluator::Stats stats;
-  BytecodeProgram program = [&] {
-    ScopedKernel scoped(kernel);
-    return Compile(*ext, "exists R R' . [rbit x : x > 0](R, R')");
-  }();
-  ASSERT_GT(program.num_icache_slots, 0u);
-  BytecodeVm vm(program, *ext, options, &stats);
-  ScopedKernel scoped(kernel);
-
-  const std::string first = vm.Run().ToString();
-  ASSERT_GT(stats.vm.icache_misses, 0u);
-  const uint64_t misses_after_first = stats.vm.icache_misses;
-
-  // Sanity: without a clear, the re-run is pure hits — no new misses.
-  EXPECT_EQ(vm.Run().ToString(), first);
-  EXPECT_EQ(stats.vm.icache_misses, misses_after_first);
-  EXPECT_GT(stats.vm.icache_hits, 0u);
-
-  const uint64_t epoch_before = kernel.CacheEpoch();
-  kernel.ClearCache();
-  EXPECT_GT(kernel.CacheEpoch(), epoch_before);
-
-  // Post-clear: same kernel pointer, new epoch — every filled slot's first
-  // probe must drop the stale verdict (counted as an invalidation) and
-  // re-miss into the kernel; later probes of the refilled slot may hit
-  // again under the *new* epoch, which is correct.
-  EXPECT_EQ(vm.Run().ToString(), first);
-  EXPECT_GT(stats.vm.icache_invalidations, 0u);
-  EXPECT_GT(stats.vm.icache_misses, misses_after_first);
-
-  // InvalidateDisjunct moves the epoch too (lemma backend only): another
-  // run after it re-misses again rather than serving stale slots.
-  if (kernel.lemma_db() != nullptr) {
-    const uint64_t misses_after_clear = stats.vm.icache_misses;
-    const uint64_t invalidations_after_clear = stats.vm.icache_invalidations;
-    kernel.InvalidateDisjunct(0);
-    EXPECT_EQ(vm.Run().ToString(), first);
-    EXPECT_GT(stats.vm.icache_misses, misses_after_clear);
-    EXPECT_GT(stats.vm.icache_invalidations, invalidations_after_clear);
   }
 }
 
