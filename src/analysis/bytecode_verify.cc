@@ -41,15 +41,21 @@ struct Interval {
 };
 
 /// One open Enter bracket: the Leave that closes it must match mode,
-/// destination register and memo descriptor id.
+/// destination register and plan node (the node's memo key).
 struct AbsFrame {
   bool symbolic = true;
   uint32_t reg = 0;
-  uint32_t memo = 0;
+  const PlanNode* node = nullptr;
   bool operator==(const AbsFrame& o) const {
-    return symbolic == o.symbolic && reg == o.reg && memo == o.memo;
+    return symbolic == o.symbolic && reg == o.reg && node == o.node;
   }
 };
+
+/// Whether an Enter/Leave instruction probes / stores the memo; the VM
+/// asks the same question of the same node.
+bool Memoized(const VmInstr& in) {
+  return in.node->cache == CachePolicy::kByRegionKey;
+}
 
 struct AbsState {
   std::vector<uint8_t> sdef, bdef, idef;  // defined-before-use bits
@@ -209,23 +215,6 @@ class ProcChecker {
     }
     return Status::Ok();
   }
-  Status RegionSlot(size_t pc, uint32_t slot) {
-    if (slot >= program_.region_slot_names.size()) {
-      return FailAt(proc_id_, pc, proc_.code[pc],
-                    "region slot out of range: " + std::to_string(slot) +
-                        " of " +
-                        std::to_string(program_.region_slot_names.size()));
-    }
-    return Status::Ok();
-  }
-  Status Memo(size_t pc, uint32_t imm) {
-    if (imm > program_.memo_descs.size()) {
-      return FailAt(proc_id_, pc, proc_.code[pc],
-                    "memo descriptor id out of range: " + std::to_string(imm) +
-                        " of " + std::to_string(program_.memo_descs.size()));
-    }
-    return Status::Ok();
-  }
   Status Node(size_t pc) {
     if (proc_.code[pc].node == nullptr) {
       return FailAt(proc_id_, pc, proc_.code[pc],
@@ -245,17 +234,17 @@ class ProcChecker {
     };
     switch (in.op) {
       case VmOp::kEnterSym:
-        s = all({S(pc, in.a), Memo(pc, in.imm), Node(pc)});
-        if (s.ok() && in.imm != 0) s = Forward(pc, in.b);
+        s = all({S(pc, in.a), Node(pc)});
+        if (s.ok() && Memoized(in)) s = Forward(pc, in.b);
         return s;
       case VmOp::kLeaveSym:
-        return all({S(pc, in.a), Memo(pc, in.imm), Node(pc)});
+        return all({S(pc, in.a), Node(pc)});
       case VmOp::kEnterBool:
-        s = all({B(pc, in.a), Memo(pc, in.imm), Node(pc)});
-        if (s.ok() && in.imm != 0) s = Forward(pc, in.b);
+        s = all({B(pc, in.a), Node(pc)});
+        if (s.ok() && Memoized(in)) s = Forward(pc, in.b);
         return s;
       case VmOp::kLeaveBool:
-        return all({B(pc, in.a), Memo(pc, in.imm), Node(pc)});
+        return all({B(pc, in.a), Node(pc)});
       case VmOp::kConstFormula:
         s = all({S(pc, in.a), Node(pc)});
         if (s.ok() && !in.node->const_formula.has_value()) {
@@ -263,7 +252,7 @@ class ProcChecker {
         }
         return s;
       case VmOp::kInRegion:
-        return all({S(pc, in.a), RegionSlot(pc, in.b), Node(pc)});
+        return all({S(pc, in.a), Node(pc)});
       case VmOp::kLiftBool:
         return all({S(pc, in.a), B(pc, in.b)});
       case VmOp::kNegSym:
@@ -291,12 +280,11 @@ class ProcChecker {
       case VmOp::kEqBool:
         return all({B(pc, in.a), B(pc, in.b)});
       case VmOp::kRegionAtom: {
-        s = all({B(pc, in.a), RegionSlot(pc, in.b), Node(pc)});
+        s = all({B(pc, in.a), Node(pc)});
         if (!s.ok()) return s;
         switch (in.node->source_kind) {
           case NodeKind::kAdjacent:
           case NodeKind::kRegionEq:
-            return RegionSlot(pc, in.c);
           case NodeKind::kSubsetS:
           case NodeKind::kIntersectsS:
           case NodeKind::kDimAtom:
@@ -308,18 +296,7 @@ class ProcChecker {
         }
       }
       case VmOp::kSetMember:
-        s = B(pc, in.a);
-        if (s.ok() && in.b >= program_.set_slot_names.size()) {
-          s = FailAt(proc_id_, pc, in,
-                     "set slot out of range: " + std::to_string(in.b) + " of " +
-                         std::to_string(program_.set_slot_names.size()));
-        }
-        if (s.ok() && in.imm >= program_.slot_lists.size()) {
-          s = FailAt(proc_id_, pc, in,
-                     "slot-list id out of range: " + std::to_string(in.imm) +
-                         " of " + std::to_string(program_.slot_lists.size()));
-        }
-        return s;
+        return all({B(pc, in.a), Node(pc)});
       case VmOp::kFixpointMember:
         s = all({B(pc, in.a), Node(pc)});
         if (s.ok() && in.imm >= program_.fixpoint_sites.size()) {
@@ -338,13 +315,7 @@ class ProcChecker {
         }
         return s;
       case VmOp::kRbitFinish:
-        s = all({B(pc, in.a), S(pc, in.b), Node(pc)});
-        if (s.ok() && in.imm >= program_.rbit_sites.size()) {
-          s = FailAt(proc_id_, pc, in,
-                     "rbit site id out of range: " + std::to_string(in.imm) +
-                         " of " + std::to_string(program_.rbit_sites.size()));
-        }
-        return s;
+        return all({B(pc, in.a), S(pc, in.b), Node(pc)});
       case VmOp::kNonEmpty:
         return all({B(pc, in.a), S(pc, in.b)});
       case VmOp::kJmp:
@@ -409,7 +380,7 @@ class ProcChecker {
         return Status::Ok();
       }
       case VmOp::kSetRegion:
-        return all({RegionSlot(pc, in.a), I(pc, in.b)});
+        return all({I(pc, in.b), Node(pc)});
       case VmOp::kBeginOp:
         if ((in.imm & kOpTimed) != 0) return Node(pc);
         return Status::Ok();
@@ -562,7 +533,7 @@ class ProcDataflow {
       case VmOp::kEnterSym:
       case VmOp::kEnterBool: {
         const bool symbolic = in.op == VmOp::kEnterSym;
-        if (in.imm != 0) {
+        if (Memoized(in)) {
           // Memo-hit edge: dest defined, bracket NOT pushed (the VM jumps
           // past the Leave).
           AbsState hit = st;
@@ -574,7 +545,7 @@ class ProcDataflow {
           Propagate(in.b, std::move(hit));
           if (!status_.ok()) return;
         }
-        st.brackets.push_back(AbsFrame{symbolic, in.a, in.imm});
+        st.brackets.push_back(AbsFrame{symbolic, in.a, in.node});
         Propagate(pc + 1, std::move(st));
         return;
       }
@@ -588,7 +559,7 @@ class ProcDataflow {
                            "memo bracket underflow: leave without enter");
           return;
         }
-        const AbsFrame expect{symbolic, in.a, in.imm};
+        const AbsFrame expect{symbolic, in.a, in.node};
         if (!(st.brackets.back() == expect)) {
           status_ = FailAt(proc_id_, pc, in,
                            "memo bracket mismatch: leave does not match the "
@@ -803,30 +774,6 @@ class ProcDataflow {
 // Program-level checks: side tables, call graph, proc reachability.
 
 Status CheckSideTables(const BytecodeProgram& p) {
-  const size_t region_slots = p.region_slot_names.size();
-  const size_t set_slots = p.set_slot_names.size();
-  for (size_t i = 0; i < p.memo_descs.size(); ++i) {
-    for (uint32_t slot : p.memo_descs[i].region_slots) {
-      if (slot >= region_slots) {
-        return Fail("memo descriptor " + std::to_string(i) +
-                    ": region slot out of range");
-      }
-    }
-    for (uint32_t slot : p.memo_descs[i].set_slots) {
-      if (slot >= set_slots) {
-        return Fail("memo descriptor " + std::to_string(i) +
-                    ": set slot out of range");
-      }
-    }
-  }
-  for (size_t i = 0; i < p.slot_lists.size(); ++i) {
-    for (uint32_t slot : p.slot_lists[i]) {
-      if (slot >= region_slots) {
-        return Fail("slot-list " + std::to_string(i) +
-                    ": region slot out of range");
-      }
-    }
-  }
   auto check_leaves = [&](const char* kind, size_t i,
                           const std::vector<uint32_t>& leaves) {
     for (uint32_t leaf : leaves) {
@@ -838,35 +785,12 @@ Status CheckSideTables(const BytecodeProgram& p) {
     return Status::Ok();
   };
   for (size_t i = 0; i < p.fixpoint_sites.size(); ++i) {
-    const VmFixpointSite& site = p.fixpoint_sites[i];
-    if (site.arg_slots.empty()) {
-      return Fail("fixpoint site " + std::to_string(i) +
-                  ": no argument slots");
-    }
-    for (uint32_t slot : site.arg_slots) {
-      if (slot >= region_slots) {
-        return Fail("fixpoint site " + std::to_string(i) +
-                    ": region slot out of range");
-      }
-    }
-    LCDB_RETURN_IF_ERROR(check_leaves("fixpoint", i, site.leaves));
+    LCDB_RETURN_IF_ERROR(
+        check_leaves("fixpoint", i, p.fixpoint_sites[i].leaves));
   }
   for (size_t i = 0; i < p.closure_sites.size(); ++i) {
-    const VmClosureSite& site = p.closure_sites[i];
-    if (site.arg_slots.empty() ||
-        site.arg_slots.size() != site.arg2_slots.size()) {
-      return Fail("closure site " + std::to_string(i) +
-                  ": arity mismatch between the argument tuples");
-    }
-    for (const auto* slots : {&site.arg_slots, &site.arg2_slots}) {
-      for (uint32_t slot : *slots) {
-        if (slot >= region_slots) {
-          return Fail("closure site " + std::to_string(i) +
-                      ": region slot out of range");
-        }
-      }
-    }
-    LCDB_RETURN_IF_ERROR(check_leaves("closure", i, site.leaves));
+    LCDB_RETURN_IF_ERROR(
+        check_leaves("closure", i, p.closure_sites[i].leaves));
   }
   for (size_t i = 0; i < p.leaf_sites.size(); ++i) {
     const VmLeafSite& site = p.leaf_sites[i];
@@ -877,27 +801,8 @@ Status CheckSideTables(const BytecodeProgram& p) {
       return Fail("leaf site " + std::to_string(i) +
                   ": leaf proc must be boolean");
     }
-    if (site.node == nullptr ||
-        site.region_slots.size() != site.node->free_region.size()) {
-      return Fail("leaf site " + std::to_string(i) +
-                  ": slots do not match the leaf's free variables");
-    }
-    for (uint32_t slot : site.region_slots) {
-      if (slot >= region_slots) {
-        return Fail("leaf site " + std::to_string(i) +
-                    ": region slot out of range");
-      }
-    }
-    if (site.reads_set && site.set_slot >= set_slots) {
-      return Fail("leaf site " + std::to_string(i) +
-                  ": set slot out of range");
-    }
-  }
-  for (size_t i = 0; i < p.rbit_sites.size(); ++i) {
-    if (p.rbit_sites[i].rn_slot >= region_slots ||
-        p.rbit_sites[i].rd_slot >= region_slots) {
-      return Fail("rbit site " + std::to_string(i) +
-                  ": region slot out of range");
+    if (site.node == nullptr) {
+      return Fail("leaf site " + std::to_string(i) + ": no leaf node");
     }
   }
   return Status::Ok();
@@ -980,8 +885,7 @@ size_t CountProvedDeadCaches(
     for (size_t pc = 0; pc < p.procs[proc].code.size(); ++pc) {
       const VmInstr& in = p.procs[proc].code[pc];
       if ((in.op != VmOp::kEnterSym && in.op != VmOp::kEnterBool) ||
-          in.imm == 0 || in.node == nullptr ||
-          in.node->cache != CachePolicy::kByRegionKey) {
+          !Memoized(in)) {
         continue;
       }
       auto& [total, dead] = sites[in.node];

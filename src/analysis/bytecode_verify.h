@@ -46,16 +46,18 @@ struct BytecodeVerifyResult {
 /// abstract interpreter over every proc of the program:
 ///
 ///  * **Operand bounds** — every register operand is inside the proc's
-///    s/b/i register files, every slot / memo-descriptor / site / proc
-///    index is inside its side table, jump targets are inside
-///    the proc (checked for all instructions, reachable or not).
+///    s/b/i register files, every site / proc index is inside its table,
+///    jump targets are inside the proc (checked for all instructions,
+///    reachable or not). Region and set slots are not operands: the VM
+///    reads them from the instruction's plan node, whose slots VerifyPlan
+///    (analysis/plan_verify.h) bounds-checks.
 ///  * **Typestate dataflow** — forward abstract interpretation with a
 ///    worklist: registers are defined before use on all paths (bit-vector
 ///    states, intersection at joins), conditional jumps on constant-loaded
 ///    registers prune provably dead edges, and `i` registers carry
 ///    intervals clamped by the `loop.head` guard.
 ///  * **Memo-bracket balance** — Enter pushes an abstract frame (mode,
-///    register, memo id), Leave pops a matching one, the memo-hit skip
+///    register, plan node), Leave pops a matching one, the memo-hit skip
 ///    edge carries the pre-Enter stack; stacks must agree at joins and be
 ///    empty at ret/halt. Timed begin.op / end.op frames balance the same
 ///    way.

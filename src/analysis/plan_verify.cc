@@ -103,14 +103,6 @@ Status CheckPayload(const PlanNode& node, size_t num_columns,
                                  std::to_string(num_columns));
       }
       break;
-    case PlanOp::kExpandExists:
-    case PlanOp::kExpandForall:
-    case PlanOp::kAnyRegion:
-    case PlanOp::kAllRegion:
-      if (node.region_var.empty()) {
-        return Fail(context, "missing binder: " + name + " has no region variable");
-      }
-      break;
     case PlanOp::kRegionAtom: {
       size_t want = 1;
       switch (node.source_kind) {
@@ -136,9 +128,6 @@ Status CheckPayload(const PlanNode& node, size_t num_columns,
       break;
     }
     case PlanOp::kSetMember:
-      if (node.set_var.empty()) {
-        return Fail(context, "missing binder: " + name + " has no set variable");
-      }
       if (node.region_args.empty()) {
         return Fail(context,
                     "region argument count: " + name + " applies an empty tuple");
@@ -150,9 +139,6 @@ Status CheckPayload(const PlanNode& node, size_t num_columns,
           node.source_kind != NodeKind::kPfp) {
         return Fail(context,
                     "source kind: " + name + " is not lfp/ifp/pfp");
-      }
-      if (node.set_var.empty()) {
-        return Fail(context, "missing binder: " + name + " has no set variable");
       }
       if (node.bound_vars.empty()) {
         return Fail(context,
@@ -202,33 +188,72 @@ Status CheckPayload(const PlanNode& node, size_t num_columns,
   return Status::Ok();
 }
 
-std::string JoinNames(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
+/// Every slot the node stores lies inside the plan's name tables: the
+/// executors index flat slot environments with them unchecked.
+Status CheckSlots(const PlanNode& node, const CompiledPlan& plan,
+                  std::string_view context) {
+  const std::string name = PlanOpName(node.op);
+  auto check = [&](const char* sort, uint32_t slot,
+                   const std::vector<std::string>& table) {
+    if (slot < table.size()) return Status::Ok();
+    return Fail(context, std::string(sort) + " slot out of range: " + name +
+                             " uses slot " + std::to_string(slot) + " of " +
+                             std::to_string(table.size()));
+  };
+  std::vector<uint32_t> regions = node.free_region;
+  regions.insert(regions.end(), node.region_args.begin(),
+                 node.region_args.end());
+  regions.insert(regions.end(), node.region_args2.begin(),
+                 node.region_args2.end());
+  regions.insert(regions.end(), node.bound_vars.begin(),
+                 node.bound_vars.end());
+  switch (node.op) {
+    case PlanOp::kExpandExists:
+    case PlanOp::kExpandForall:
+    case PlanOp::kAnyRegion:
+    case PlanOp::kAllRegion:
+      regions.push_back(node.region_var);
+      break;
+    case PlanOp::kSetMember:
+    case PlanOp::kFixpointMember:
+      LCDB_RETURN_IF_ERROR(check("set", node.set_var, plan.set_names));
+      break;
+    default:
+      break;
   }
-  return out;
+  for (uint32_t slot : regions) {
+    LCDB_RETURN_IF_ERROR(check("region", slot, plan.region_names));
+  }
+  for (uint32_t slot : node.free_sets) {
+    LCDB_RETURN_IF_ERROR(check("set", slot, plan.set_names));
+  }
+  return Status::Ok();
 }
 
 /// Recomputes the derived annotations on a copy and compares. The copy
 /// shares the children (shared_ptr), so `DeriveAnnotations` reads the
 /// children's actual annotations — which the DFS has already verified.
-Status CheckAnnotations(const PlanNode& node, size_t num_regions,
+Status CheckAnnotations(const PlanNode& node, const CompiledPlan& plan,
                         std::string_view context) {
   PlanNode copy = node;
-  DeriveAnnotations(&copy, num_regions);
+  DeriveAnnotations(&copy, plan.num_regions);
   const std::string name = PlanOpName(node.op);
+  auto regions = [&](const std::vector<uint32_t>& slots) {
+    return JoinSlotNames(slots, plan.region_names, ", ");
+  };
+  auto sets = [&](const std::vector<uint32_t>& slots) {
+    return JoinSlotNames(slots, plan.set_names, ", ");
+  };
   if (copy.free_region != node.free_region) {
     return Fail(context, "annotation mismatch on " + name +
-                             ": free_region is {" + JoinNames(node.free_region) +
+                             ": free_region is {" + regions(node.free_region) +
                              "}, derivation gives {" +
-                             JoinNames(copy.free_region) + "}");
+                             regions(copy.free_region) + "}");
   }
   if (copy.free_sets != node.free_sets) {
     return Fail(context, "annotation mismatch on " + name +
-                             ": free_sets is {" + JoinNames(node.free_sets) +
-                             "}, derivation gives {" + JoinNames(copy.free_sets) +
+                             ": free_sets is {" + sets(node.free_sets) +
+                             "}, derivation gives {" + sets(copy.free_sets) +
                              "}");
   }
   if (copy.region_pure != node.region_pure) {
@@ -268,9 +293,9 @@ Status CheckCachePolicy(const PlanNode& node, std::string_view context) {
   return Status::Ok();
 }
 
-Status VerifyNode(const PlanNode* node, size_t num_columns,
-                  size_t num_regions, std::string_view context,
-                  ColourMap* colour, size_t* nodes_verified) {
+Status VerifyNode(const PlanNode* node, const CompiledPlan& plan,
+                  std::string_view context, ColourMap* colour,
+                  size_t* nodes_verified) {
   auto [it, inserted] = colour->emplace(node, false);
   if (!inserted) {
     if (!it->second) {
@@ -303,14 +328,15 @@ Status VerifyNode(const PlanNode* node, size_t num_columns,
                       (shape.child_symbolic ? "symbolic" : "boolean") +
                       ", is " + PlanOpName(child->op));
     }
-    Status s = VerifyNode(child.get(), num_columns, num_regions, context,
-                          colour, nodes_verified);
+    Status s = VerifyNode(child.get(), plan, context, colour, nodes_verified);
     if (!s.ok()) return s;
   }
 
-  Status s = CheckPayload(*node, num_columns, context);
+  Status s = CheckPayload(*node, plan.num_columns, context);
   if (!s.ok()) return s;
-  s = CheckAnnotations(*node, num_regions, context);
+  s = CheckSlots(*node, plan, context);
+  if (!s.ok()) return s;
+  s = CheckAnnotations(*node, plan, context);
   if (!s.ok()) return s;
   s = CheckCachePolicy(*node, context);
   if (!s.ok()) return s;
@@ -323,29 +349,6 @@ Status VerifyNode(const PlanNode* node, size_t num_columns,
 
 }  // namespace
 
-Status VerifyPlan(const PlanNode& root, size_t num_columns,
-                  size_t num_regions, std::string_view context,
-                  VerifyStats* stats) {
-  ColourMap colour;
-  size_t nodes_verified = 0;
-  Status s = VerifyNode(&root, num_columns, num_regions, context, &colour,
-                        &nodes_verified);
-  if (stats != nullptr) {
-    ++stats->plans_verified;
-    stats->plan_nodes_verified += nodes_verified;
-  }
-  if (s.ok() && !root.free_region.empty()) {
-    s = Fail(context, "plan not closed: free region variables remain at root ({" +
-                          JoinNames(root.free_region) + "})");
-  }
-  if (s.ok() && !root.free_sets.empty()) {
-    s = Fail(context, "plan not closed: free set variables remain at root ({" +
-                          JoinNames(root.free_sets) + "})");
-  }
-  if (!s.ok() && stats != nullptr) ++stats->violations;
-  return s;
-}
-
 Status VerifyPlan(const CompiledPlan& plan, std::string_view context,
                   VerifyStats* stats) {
   if (plan.root == nullptr) {
@@ -355,8 +358,27 @@ Status VerifyPlan(const CompiledPlan& plan, std::string_view context,
     }
     return Fail(context, "plan has no root");
   }
-  return VerifyPlan(*plan.root, plan.num_columns, plan.num_regions, context,
-                    stats);
+  const PlanNode& root = *plan.root;
+  ColourMap colour;
+  size_t nodes_verified = 0;
+  Status s = VerifyNode(&root, plan, context, &colour, &nodes_verified);
+  if (stats != nullptr) {
+    ++stats->plans_verified;
+    stats->plan_nodes_verified += nodes_verified;
+  }
+  if (s.ok() && !root.free_region.empty()) {
+    s = Fail(context, "plan not closed: free region variables remain at root ({" +
+                          JoinSlotNames(root.free_region, plan.region_names,
+                                        ", ") +
+                          "})");
+  }
+  if (s.ok() && !root.free_sets.empty()) {
+    s = Fail(context, "plan not closed: free set variables remain at root ({" +
+                          JoinSlotNames(root.free_sets, plan.set_names, ", ") +
+                          "})");
+  }
+  if (!s.ok() && stats != nullptr) ++stats->violations;
+  return s;
 }
 
 }  // namespace lcdb

@@ -33,6 +33,12 @@ namespace lcdb {
 ///    only on worth-caching, non-constant nodes whose key is narrow
 ///    (`free_sets` empty, or at most one free region variable), mirroring
 ///    the optimizer's MarkCacheable contract.
+///  * **Slot ranges** — every region and set slot a node stores (binders,
+///    arguments, bound tuples, free-variable annotations) lies inside the
+///    plan's `region_names` / `set_names` tables. Both executors index
+///    their flat slot environments with these slots unchecked; this is the
+///    one bounds check that covers the tree walk, the bytecode VM and the
+///    set-at-a-time engine.
 ///  * **Scope discipline / closedness** — the root has no free region or
 ///    set variables; together with annotation consistency this proves
 ///    every `in`/atom/set reference is bound by an enclosing quantifier,
@@ -44,13 +50,8 @@ namespace lcdb {
 /// starts with `LCDB012:` and names `context` (the pipeline stage or
 /// optimizer pass that produced the plan) plus a specific sub-reason —
 /// never a crash. Verification is read-only and runs in one DFS over the
-/// DAG (each shared node checked once).
-Status VerifyPlan(const PlanNode& root, size_t num_columns,
-                  size_t num_regions, std::string_view context,
-                  VerifyStats* stats = nullptr);
-
-/// Convenience wrapper over a CompiledPlan, as the evaluator calls it after
-/// `OptimizePlan` (and after `BuildPlan` when optimization is disabled).
+/// DAG (each shared node checked once). The evaluator calls it after
+/// `OptimizePlan` (after `BuildPlan` when optimization is disabled).
 Status VerifyPlan(const CompiledPlan& plan, std::string_view context,
                   VerifyStats* stats = nullptr);
 

@@ -311,57 +311,25 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
     // only exists behind it.
     if (options_.use_plan || plan_out != nullptr || options_.use_bytecode) {
       CompiledPlan plan;
-      {
-        TraceSpan build_span("plan.build");
-        const uint64_t build_start_ns =
-            recorder != nullptr ? ObsNowNs() : 0;
-        plan = BuildPlan(query, info, ext_);
-        if (recorder != nullptr) {
-          record.plan_build_ns = ObsNowNs() - build_start_ns;
-        }
+      PlanCostReport cost;
+      uint64_t build_ns = 0;
+      const uint64_t compile_start_ns = recorder != nullptr ? ObsNowNs() : 0;
+      const Status verified =
+          CompilePlan(query, info, &plan, &cost, &build_ns);
+      if (recorder != nullptr) {
+        // The optimize phase covers the pass pipeline, the tier-2 cost pass
+        // and verification.
+        record.plan_build_ns = build_ns;
+        record.plan_optimize_ns = ObsNowNs() - compile_start_ns - build_ns;
       }
-      const uint64_t optimize_start_ns =
-          recorder != nullptr ? ObsNowNs() : 0;
-      if (options_.optimize) {
-        {
-          TraceSpan optimize_span("plan.optimize");
-          stats_.plan = PlanPassStats();
-          OptimizePlan(&plan, &stats_.plan);
-          optimize_span.Counter("plan_nodes", stats_.plan.plan_nodes);
-        }
-        // Tier-2 pass over the optimized plan: cost estimates feed the
-        // plan.cost.* metrics family (and the EXPLAIN cost column). Pure
-        // plan-shape arithmetic — no kernel calls — but traced so its
-        // share of compile time is visible.
-        TraceSpan cost_span("plan.cost");
-        PlanCostOptions cost_options;
-        cost_options.max_tuple_space = options_.max_tuple_space;
-        stats_.plan_cost = AnalyzePlanCost(plan, cost_options).stats;
-        cost_span.Counter("est_bigint_ops", stats_.plan_cost.total_bigint_ops);
-      } else {
-        stats_.plan = PlanPassStats();
-        stats_.plan.plan_nodes = CountPlanNodes(*plan.root);
-      }
-      // Tier-3 gate: no plan reaches an executor unverified. A violation
-      // here is an optimizer/planner bug surfacing as a clean LCDB012
-      // kInternal instead of undefined executor behaviour downstream.
-      if (options_.verify) {
-        TraceSpan verify_span("plan.verify");
-        Status verified = VerifyPlan(
-            plan, options_.optimize ? "after plan.optimize" : "after plan.build",
-            &stats_.verify);
-        if (!verified.ok()) {
-          settle();
-          finish_record(verified);
-          return verified;
-        }
-        verify_span.Counter("plan_nodes", stats_.verify.plan_nodes_verified);
+      if (!verified.ok()) {
+        settle();
+        finish_record(verified);
+        return verified;
       }
       if (recorder != nullptr) {
-        // The optimize phase covers the pass pipeline plus the tier-2 cost
-        // pass; the plan fingerprint hashes the final printed plan, so two
+        // The plan fingerprint hashes the final printed plan, so two
         // records agree exactly when their executions ran the same plan.
-        record.plan_optimize_ns = ObsNowNs() - optimize_start_ns;
         record.plan_fingerprint = StableHash64(PrintPlan(plan));
       }
       if (plan_out != nullptr) *plan_out = plan;
@@ -446,8 +414,53 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   return answer;
 }
 
-Result<std::string> Evaluator::Explain(const FormulaNode& query) {
-  TraceSpan explain_span("explain");
+Status Evaluator::CompilePlan(const FormulaNode& query, const TypeInfo& info,
+                              CompiledPlan* plan, PlanCostReport* cost,
+                              uint64_t* build_ns) {
+  {
+    TraceSpan build_span("plan.build");
+    const uint64_t build_start_ns = ObsNowNs();
+    *plan = BuildPlan(query, info, ext_);
+    *build_ns = ObsNowNs() - build_start_ns;
+  }
+  stats_.plan = PlanPassStats();
+  stats_.plan_cost = PlanCostStats();
+  stats_.verify = VerifyStats();
+  if (options_.optimize) {
+    {
+      TraceSpan optimize_span("plan.optimize");
+      OptimizePlan(plan, &stats_.plan);
+      optimize_span.Counter("plan_nodes", stats_.plan.plan_nodes);
+    }
+    // Tier-2 pass over the optimized plan: cost estimates feed the
+    // plan.cost.* metrics family and the EXPLAIN cost column. Pure
+    // plan-shape arithmetic — no kernel calls — but traced so its share of
+    // compile time is visible.
+    TraceSpan cost_span("plan.cost");
+    PlanCostOptions cost_options;
+    cost_options.max_tuple_space = options_.max_tuple_space;
+    *cost = AnalyzePlanCost(*plan, cost_options);
+    stats_.plan_cost = cost->stats;
+    cost_span.Counter("est_bigint_ops", stats_.plan_cost.total_bigint_ops);
+  } else {
+    stats_.plan.plan_nodes = CountPlanNodes(*plan->root);
+  }
+  // Tier-3 gate: no plan reaches an executor or a listing unverified. A
+  // violation here is an optimizer/planner bug surfacing as a clean LCDB012
+  // kInternal instead of undefined executor behaviour downstream.
+  if (!options_.verify) return Status::Ok();
+  TraceSpan verify_span("plan.verify");
+  Status verified = VerifyPlan(
+      *plan, options_.optimize ? "after plan.optimize" : "after plan.build",
+      &stats_.verify);
+  if (verified.ok()) {
+    verify_span.Counter("plan_nodes", stats_.verify.plan_nodes_verified);
+  }
+  return verified;
+}
+
+Result<std::string> Evaluator::CompileAndRender(const FormulaNode& query,
+                                                const PlanRenderer& render) {
   Result<TypeInfo> checked = [&] {
     TraceSpan typecheck_span("typecheck");
     return TypeCheck(query, ext_.database());
@@ -457,163 +470,94 @@ Result<std::string> Evaluator::Explain(const FormulaNode& query) {
   LCDB_RETURN_IF_ERROR(CheckTupleSpaces(query, ext_.num_regions(),
                                         options_.max_tuple_space));
   // Compilation spends kernel work (the folding pass asks feasibility
-  // questions), so Explain settles the ambient counters exactly as Evaluate
-  // does — on the success and the interrupt path alike.
+  // questions), so a listing settles the ambient counters exactly as
+  // Evaluate does — on the success and the interrupt path alike.
   const KernelStats kernel_before = CurrentKernel().stats();
   stats_.governor = GovernorStats();
   try {
-    // Explain runs the same mandatory analysis phase as Evaluate, so a
-    // query Evaluate would reject never gets a plan printed for it.
-    {
-      TraceSpan analyze_span("analyze");
-      AnalyzerOptions analyzer_options;
-      analyzer_options.num_regions = ext_.num_regions();
-      analyzer_options.max_tuple_space = options_.max_tuple_space;
-      AnalysisResult analysis = AnalyzeQuery(query, info, analyzer_options);
-      stats_.analysis = analysis.stats;
-      if (!analysis.diagnostics.empty()) {
-        analyze_span.Counter("diagnostics", analysis.diagnostics.size());
-      }
-      if (analysis.has_errors()) {
-        SettleAmbient(kernel_before);
-        return AnalysisErrorStatus(analysis, source_);
-      }
-    }
-    CompiledPlan plan;
-    {
-      TraceSpan build_span("plan.build");
-      plan = BuildPlan(query, info, ext_);
-    }
-    stats_.plan = PlanPassStats();
-    stats_.plan_cost = PlanCostStats();
-    stats_.verify = VerifyStats();
-    std::string out;
-    if (options_.optimize) {
+    Result<std::string> listing = [&]() -> Result<std::string> {
+      // The same mandatory analysis phase as Evaluate, so a query Evaluate
+      // would reject never gets a listing.
       {
-        TraceSpan optimize_span("plan.optimize");
-        OptimizePlan(&plan, &stats_.plan);
-      }
-      // Tier-2 estimates annotate every node line of the explain output
-      // and surface the pass's diagnostics (LCDB011 dead caches, the
-      // cost-refined LCDB004 budget warning) under the plan.
-      TraceSpan cost_span("plan.cost");
-      PlanCostOptions cost_options;
-      cost_options.max_tuple_space = options_.max_tuple_space;
-      PlanCostReport cost = AnalyzePlanCost(plan, cost_options);
-      stats_.plan_cost = cost.stats;
-      // Same tier-3 gate as Evaluate: never print a plan the executor
-      // would refuse.
-      if (options_.verify) {
-        TraceSpan verify_span("plan.verify");
-        Status verified =
-            VerifyPlan(plan, "after plan.optimize", &stats_.verify);
-        if (!verified.ok()) {
-          SettleAmbient(kernel_before);
-          return verified;
+        TraceSpan analyze_span("analyze");
+        AnalyzerOptions analyzer_options;
+        analyzer_options.num_regions = ext_.num_regions();
+        analyzer_options.max_tuple_space = options_.max_tuple_space;
+        AnalysisResult analysis = AnalyzeQuery(query, info, analyzer_options);
+        stats_.analysis = analysis.stats;
+        if (!analysis.diagnostics.empty()) {
+          analyze_span.Counter("diagnostics", analysis.diagnostics.size());
+        }
+        if (analysis.has_errors()) {
+          return AnalysisErrorStatus(analysis, source_);
         }
       }
-      out = PrintPlan(plan, nullptr, &cost.costs);
-      out += "-- " + stats_.plan.ToString() + "\n";
-      out += "-- cost: nodes=" + std::to_string(cost.stats.nodes) +
-             " est_bigint_ops=" + std::to_string(cost.stats.total_bigint_ops) +
-             " est_answer_rows=" + std::to_string(cost.stats.est_answer_rows) +
-             " dead_caches=" + std::to_string(cost.stats.dead_caches) + "\n";
-      if (!cost.diagnostics.empty()) {
-        out += RenderDiagnostics(cost.diagnostics, source_);
-      }
-    } else {
-      if (options_.verify) {
-        TraceSpan verify_span("plan.verify");
-        Status verified = VerifyPlan(plan, "after plan.build", &stats_.verify);
-        if (!verified.ok()) {
-          SettleAmbient(kernel_before);
-          return verified;
-        }
-      }
-      out = PrintPlan(plan);
-      out += "-- " + stats_.plan.ToString() + "\n";
-    }
+      CompiledPlan plan;
+      PlanCostReport cost;
+      uint64_t build_ns = 0;
+      LCDB_RETURN_IF_ERROR(CompilePlan(query, info, &plan, &cost, &build_ns));
+      return render(plan, cost);
+    }();
     SettleAmbient(kernel_before);
-    return out;
+    return listing;
   } catch (const QueryInterrupt& interrupt) {
-    // A budget or injected fault can fire during Explain too.
+    // A budget or injected fault can fire during compilation too.
     SettleAmbient(kernel_before);
     return interrupt.status();
   }
 }
 
+Result<std::string> Evaluator::Explain(const FormulaNode& query) {
+  TraceSpan explain_span("explain");
+  return CompileAndRender(
+      query,
+      [&](const CompiledPlan& plan,
+          const PlanCostReport& cost) -> Result<std::string> {
+        if (!options_.optimize) {
+          return PrintPlan(plan) + "-- " + stats_.plan.ToString() + "\n";
+        }
+        // Tier-2 estimates annotate every node line of the explain output
+        // and surface the pass's diagnostics (LCDB011 dead caches, the
+        // cost-refined LCDB004 budget warning) under the plan.
+        std::string out = PrintPlan(plan, nullptr, &cost.costs);
+        out += "-- " + stats_.plan.ToString() + "\n";
+        const PlanCostStats& c = cost.stats;
+        out += "-- cost: nodes=" + std::to_string(c.nodes) +
+               " est_bigint_ops=" + std::to_string(c.total_bigint_ops) +
+               " est_answer_rows=" + std::to_string(c.est_answer_rows) +
+               " dead_caches=" + std::to_string(c.dead_caches) + "\n";
+        if (!cost.diagnostics.empty()) {
+          out += RenderDiagnostics(cost.diagnostics, source_);
+        }
+        return out;
+      });
+}
+
 Result<std::string> Evaluator::ExplainBytecode(const FormulaNode& query) {
   if (!options_.optimize) return BytecodeNeedsOptimizer();
   TraceSpan explain_span("explain.bytecode");
-  Result<TypeInfo> checked = [&] {
-    TraceSpan typecheck_span("typecheck");
-    return TypeCheck(query, ext_.database());
-  }();
-  if (!checked.ok()) return checked.status();
-  TypeInfo info = std::move(checked).value();
-  LCDB_RETURN_IF_ERROR(CheckTupleSpaces(query, ext_.num_regions(),
-                                        options_.max_tuple_space));
-  const KernelStats kernel_before = CurrentKernel().stats();
-  stats_.governor = GovernorStats();
-  try {
-    // Same mandatory analysis gate as Evaluate/Explain: a rejected query
-    // never gets a program listing.
-    {
-      TraceSpan analyze_span("analyze");
-      AnalyzerOptions analyzer_options;
-      analyzer_options.num_regions = ext_.num_regions();
-      analyzer_options.max_tuple_space = options_.max_tuple_space;
-      AnalysisResult analysis = AnalyzeQuery(query, info, analyzer_options);
-      stats_.analysis = analysis.stats;
-      if (analysis.has_errors()) {
-        SettleAmbient(kernel_before);
-        return AnalysisErrorStatus(analysis, source_);
-      }
-    }
-    CompiledPlan plan;
-    {
-      TraceSpan build_span("plan.build");
-      plan = BuildPlan(query, info, ext_);
-    }
-    stats_.plan = PlanPassStats();
-    stats_.verify = VerifyStats();
-    {
-      TraceSpan optimize_span("plan.optimize");
-      OptimizePlan(&plan, &stats_.plan);
-    }
-    if (options_.verify) {
-      TraceSpan verify_span("plan.verify");
-      Status verified =
-          VerifyPlan(plan, "after plan.optimize", &stats_.verify);
-      if (!verified.ok()) {
-        SettleAmbient(kernel_before);
-        return verified;
-      }
-    }
-    BytecodeProgram program = [&] {
-      TraceSpan lower_span("plan.lower");
-      return CompileToBytecode(plan);
-    }();
-    if (options_.verify) {
-      // The listing must stay byte-identical to DisassembleBytecode (the
-      // golden test pins it), so verification only gates — no footer.
-      TraceSpan verify_span("bytecode.verify");
-      BytecodeVerifyResult verdict = VerifyBytecode(program);
-      AccumulateVerifyStats(verdict, &stats_.verify);
-      if (!verdict.status.ok()) {
-        SettleAmbient(kernel_before);
-        return verdict.status;
-      }
-    }
-    stats_.vm = VmStats();
-    stats_.vm.procs = program.procs.size();
-    stats_.vm.code_instructions = program.TotalInstructions();
-    SettleAmbient(kernel_before);
-    return DisassembleBytecode(program);
-  } catch (const QueryInterrupt& interrupt) {
-    SettleAmbient(kernel_before);
-    return interrupt.status();
-  }
+  return CompileAndRender(
+      query,
+      [&](const CompiledPlan& plan,
+          const PlanCostReport&) -> Result<std::string> {
+        BytecodeProgram program = [&] {
+          TraceSpan lower_span("plan.lower");
+          return CompileToBytecode(plan);
+        }();
+        if (options_.verify) {
+          // The listing must stay byte-identical to DisassembleBytecode
+          // (the golden test pins it), so verification only gates — no
+          // footer.
+          TraceSpan verify_span("bytecode.verify");
+          BytecodeVerifyResult verdict = VerifyBytecode(program);
+          AccumulateVerifyStats(verdict, &stats_.verify);
+          if (!verdict.status.ok()) return verdict.status;
+        }
+        stats_.vm = VmStats();
+        stats_.vm.procs = program.procs.size();
+        stats_.vm.code_instructions = program.TotalInstructions();
+        return DisassembleBytecode(program);
+      });
 }
 
 Result<std::string> Evaluator::ExplainAnalyze(const FormulaNode& query) {

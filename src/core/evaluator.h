@@ -1,6 +1,7 @@
 #ifndef LCDB_CORE_EVALUATOR_H_
 #define LCDB_CORE_EVALUATOR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,6 +24,7 @@
 namespace lcdb {
 
 struct CompiledPlan;
+struct PlanCostReport;
 
 /// Answer of a (possibly non-boolean) query: a quantifier-free DNF formula
 /// over the query's free element variables — the closure property of
@@ -73,9 +75,10 @@ class Evaluator {
     /// Evaluate through the compile -> optimize -> execute pipeline
     /// (plan/planner.h, plan/optimizer.h, plan/executor.h). When false the
     /// legacy single-pass tree walk is used instead; the two produce
-    /// byte-identical answer formulas. The legacy walk is kept for one
-    /// release as an oracle for the equivalence tests and will then be
-    /// removed.
+    /// byte-identical answer formulas. The legacy walk stays: it evaluates
+    /// tuple-at-a-time over named environments, sharing no executor code
+    /// with the plan backends, and is the reference the equivalence tests
+    /// compare them against.
     bool use_plan = true;
     /// Run the optimizer's pass pipeline over the compiled plan. Only
     /// meaningful with use_plan; disabling it also disables all subformula
@@ -226,9 +229,8 @@ class Evaluator {
 
   /// Compiles and optimizes the query, lowers the optimized plan to
   /// register bytecode and returns the disassembled program — procedures,
-  /// instructions with resolved slot names and memo descriptors — without
-  /// executing it (`lcdbq
-  /// --explain-bytecode`). Fails with kInvalidArgument when
+  /// instructions with slot names and memo keys — without executing it
+  /// (`lcdbq --explain-bytecode`). Fails with kInvalidArgument when
   /// Options::optimize is off, like evaluation under use_bytecode.
   Result<std::string> ExplainBytecode(const FormulaNode& query);
 
@@ -252,11 +254,11 @@ class Evaluator {
   /// A set-variable binding: the current stage's tuple set plus a version
   /// stamp that changes whenever the stage changes, so memoized results of
   /// set-dependent subformulas are keyed by stage (Options::memoize).
-  struct SetBinding {
+  struct TupleSetBinding {
     const TupleSet* tuples = nullptr;
     size_t version = 0;
   };
-  using SetEnv = std::map<std::string, SetBinding>;
+  using SetEnv = std::map<std::string, TupleSetBinding>;
 
   /// Shared engine of Evaluate and ExplainAnalyze: the full pipeline with
   /// optional per-plan-node profiling. When `plan_out` is non-null the
@@ -267,6 +269,24 @@ class Evaluator {
                                    PlanProfile* profile,
                                    CompiledPlan* plan_out,
                                    uint64_t resume_token = 0);
+
+  /// The plan half of the compile pipeline that Evaluate, Explain and
+  /// ExplainBytecode share: build, then optimize and cost (per
+  /// Options::optimize), then verify (per Options::verify). Resets and
+  /// refills stats_.plan, plan_cost and verify; `*build_ns` receives the
+  /// build's wall-clock. Returns the plan verifier's verdict.
+  Status CompilePlan(const FormulaNode& query, const TypeInfo& info,
+                     CompiledPlan* plan, PlanCostReport* cost,
+                     uint64_t* build_ns);
+
+  /// The pipeline Explain and ExplainBytecode share: typecheck, tuple-space
+  /// check, the mandatory analysis and CompilePlan, inside the window whose
+  /// kernel and governor work settles into stats_; `render` turns the
+  /// verified plan into the listing.
+  using PlanRenderer = std::function<Result<std::string>(
+      const CompiledPlan& plan, const PlanCostReport& cost)>;
+  Result<std::string> CompileAndRender(const FormulaNode& query,
+                                       const PlanRenderer& render);
 
   /// Settles ambient per-query telemetry into stats_: the kernel delta
   /// since `kernel_before` and the installed governor's counters. When

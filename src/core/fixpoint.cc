@@ -73,7 +73,8 @@ const Evaluator::TupleSet& Evaluator::FixpointSet(const FormulaNode& node) {
     if (!is_pfp) next = cur;  // LFP (monotone) / IFP keep prior stage
     RegionEnv body_env;
     SetEnv body_senv;
-    body_senv.emplace(node.set_var, SetBinding{&cur, ++set_version_counter_});
+    body_senv.emplace(node.set_var,
+                      TupleSetBinding{&cur, ++set_version_counter_});
     Tuple tuple(k, 0);
     bool done_tuples = (n == 0);
     while (!done_tuples) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <string>
 
 #include "plan/region_relations.h"
@@ -73,18 +72,6 @@ class Lowerer {
 
   BytecodeProgram Lower() {
     Scan(*plan_.root);
-    // Deterministic slot order: name-sorted, matching the tree executor's
-    // name-ordered cache keys.
-    for (const std::string& n : region_names_) {
-      region_slots_.emplace(n, static_cast<uint32_t>(
-                                   program_.region_slot_names.size()));
-      program_.region_slot_names.push_back(n);
-    }
-    for (const std::string& n : set_names_) {
-      set_slots_.emplace(n,
-                         static_cast<uint32_t>(program_.set_slot_names.size()));
-      program_.set_slot_names.push_back(n);
-    }
     // Proc 0: the main program evaluating the (always symbolic) root.
     builds_.emplace_back();
     builds_[0].symbolic = true;
@@ -107,8 +94,6 @@ class Lowerer {
     return std::move(program_);
   }
 
-  const std::map<const PlanNode*, int>& node_ids() const { return node_ids_; }
-
  private:
   struct ProcBuild {
     std::vector<VmInstr> code;
@@ -119,18 +104,10 @@ class Lowerer {
     const PlanNode* origin = nullptr;
   };
 
-  // ---- Pass 1: use counts, stable node ids, environment slot names. ----
+  // ---- Pass 1: use counts. ----
 
   void Scan(const PlanNode& node) {
     if (++use_count_[&node] > 1) return;
-    node_ids_.emplace(&node, static_cast<int>(node_ids_.size()));
-    if (!node.region_var.empty()) region_names_.insert(node.region_var);
-    for (const std::string& r : node.region_args) region_names_.insert(r);
-    for (const std::string& r : node.region_args2) region_names_.insert(r);
-    for (const std::string& r : node.bound_vars) region_names_.insert(r);
-    if (node.op == PlanOp::kSetMember || node.op == PlanOp::kFixpointMember) {
-      set_names_.insert(node.set_var);
-    }
     for (const PlanPtr& child : node.children) Scan(*child);
   }
 
@@ -165,40 +142,6 @@ class Lowerer {
     return p.cur_i - 1;
   }
   void FreeI() { --Cur().cur_i; }
-
-  uint32_t RegionSlot(const std::string& name) const {
-    auto it = region_slots_.find(name);
-    LCDB_CHECK(it != region_slots_.end());
-    return it->second;
-  }
-  uint32_t SetSlot(const std::string& name) const {
-    auto it = set_slots_.find(name);
-    LCDB_CHECK(it != set_slots_.end());
-    return it->second;
-  }
-  std::vector<uint32_t> Slots(const std::vector<std::string>& names) const {
-    std::vector<uint32_t> out;
-    out.reserve(names.size());
-    for (const std::string& n : names) out.push_back(RegionSlot(n));
-    return out;
-  }
-
-  /// Memo descriptor id (+1; 0 = not cacheable) replicating the tree
-  /// executor's CacheKey layout for this node.
-  uint32_t MemoDescId(const PlanNode& node) {
-    if (node.cache != CachePolicy::kByRegionKey) return 0;
-    auto it = memo_ids_.find(&node);
-    if (it != memo_ids_.end()) return it->second;
-    VmMemoDesc desc;
-    desc.region_slots = Slots(node.free_region);  // name-sorted already
-    for (const std::string& s : node.free_sets) {
-      desc.set_slots.push_back(SetSlot(s));
-    }
-    program_.memo_descs.push_back(std::move(desc));
-    const uint32_t id = static_cast<uint32_t>(program_.memo_descs.size());
-    memo_ids_.emplace(&node, id);
-    return id;
-  }
 
   /// Proc for a shared node or a fixpoint/closure body; created on first
   /// request. Creation switches the emit context onto the new proc, so
@@ -249,15 +192,13 @@ class Lowerer {
   /// Symbolic node: Enter (checkpoint/counters/memo probe), the operator
   /// body in the exact tree-walk evaluation order, Leave (memo store).
   void EmitSymNode(const PlanNode& node, uint32_t dest) {
-    const uint32_t memo = MemoDescId(node);
-    const size_t enter = Emit(VmOp::kEnterSym, dest, 0, 0, memo, &node);
+    const size_t enter = Emit(VmOp::kEnterSym, dest, 0, 0, 0, &node);
     switch (node.op) {
       case PlanOp::kConstFormula:
         Emit(VmOp::kConstFormula, dest, 0, 0, 0, &node);
         break;
       case PlanOp::kInRegion:
-        Emit(VmOp::kInRegion, dest, RegionSlot(node.region_args[0]), 0, 0,
-             &node);
+        Emit(VmOp::kInRegion, dest, 0, 0, 0, &node);
         break;
       case PlanOp::kLiftBool: {
         const uint32_t b = AllocB();
@@ -347,7 +288,7 @@ class Lowerer {
         // Stride 0: body Enter instructions already checkpoint at the tree
         // walk's per-iteration cadence (DESIGN.md, "Governor checkpoints").
         const size_t loop = Emit(VmOp::kLoopHead, ir, 0, 0, 0, &node);
-        Emit(VmOp::kSetRegion, RegionSlot(node.region_var), ir, 0, 0, &node);
+        Emit(VmOp::kSetRegion, 0, ir, 0, 0, &node);
         const uint32_t src = AllocS();
         LowerSym(*node.children[0], src);
         Emit(exists ? VmOp::kOrSym : VmOp::kAndSym, dest, src, 0, 0, &node);
@@ -364,13 +305,12 @@ class Lowerer {
       default:
         LCDB_CHECK_MSG(false, "boolean operator in symbolic lowering");
     }
-    Emit(VmOp::kLeaveSym, dest, 0, 0, memo, &node);
+    Emit(VmOp::kLeaveSym, dest, 0, 0, 0, &node);
     Cur().code[enter].b = Here();  // memo hit resumes after Leave
   }
 
   void EmitBoolNode(const PlanNode& node, uint32_t dest) {
-    const uint32_t memo = MemoDescId(node);
-    const size_t enter = Emit(VmOp::kEnterBool, dest, 0, 0, memo, &node);
+    const size_t enter = Emit(VmOp::kEnterBool, dest, 0, 0, 0, &node);
     switch (node.op) {
       case PlanOp::kConstBool:
         Emit(VmOp::kLoadBool, dest, 0, 0, node.const_bool ? 1 : 0, &node);
@@ -422,7 +362,7 @@ class Lowerer {
         Emit(VmOp::kLoadImm, ir, 0, 0, 0, &node);
         const uint32_t head = Here();
         const size_t loop = Emit(VmOp::kLoopHead, ir, 0, 0, 0, &node);
-        Emit(VmOp::kSetRegion, RegionSlot(node.region_var), ir, 0, 0, &node);
+        Emit(VmOp::kSetRegion, 0, ir, 0, 0, &node);
         LowerBool(*node.children[0], dest);
         const size_t brk =
             Emit(any ? VmOp::kJmpIfTrueBool : VmOp::kJmpIfFalseBool, dest);
@@ -432,38 +372,25 @@ class Lowerer {
         FreeI();
         break;
       }
-      case PlanOp::kRegionAtom: {
-        const uint32_t s0 = RegionSlot(node.region_args[0]);
-        const uint32_t s1 = node.region_args.size() > 1
-                                ? RegionSlot(node.region_args[1])
-                                : 0;
-        Emit(VmOp::kRegionAtom, dest, s0, s1, 0, &node);
+      case PlanOp::kRegionAtom:
+        Emit(VmOp::kRegionAtom, dest, 0, 0, 0, &node);
         break;
-      }
-      case PlanOp::kSetMember: {
-        program_.slot_lists.push_back(Slots(node.region_args));
-        Emit(VmOp::kSetMember, dest, SetSlot(node.set_var), 0,
-             static_cast<uint32_t>(program_.slot_lists.size() - 1), &node);
+      case PlanOp::kSetMember:
+        Emit(VmOp::kSetMember, dest, 0, 0, 0, &node);
         break;
-      }
       case PlanOp::kFixpointMember: {
         // The set itself is computed by the set-at-a-time engine; only the
         // body's opaque leaves are lowered, as procs it calls back into.
-        VmFixpointSite site;
-        site.arg_slots = Slots(node.region_args);
-        site.leaves = LeafSites(*node.children[0]);
-        program_.fixpoint_sites.push_back(std::move(site));
+        program_.fixpoint_sites.push_back(
+            VmMemberSite{LeafSites(*node.children[0])});
         Emit(VmOp::kFixpointMember, dest, 0, 0,
              static_cast<uint32_t>(program_.fixpoint_sites.size() - 1),
              &node);
         break;
       }
       case PlanOp::kClosureMember: {
-        VmClosureSite site;
-        site.arg_slots = Slots(node.region_args);
-        site.arg2_slots = Slots(node.region_args2);
-        site.leaves = LeafSites(*node.children[0]);
-        program_.closure_sites.push_back(std::move(site));
+        program_.closure_sites.push_back(
+            VmMemberSite{LeafSites(*node.children[0])});
         Emit(VmOp::kClosureMember, dest, 0, 0,
              static_cast<uint32_t>(program_.closure_sites.size() - 1), &node);
         break;
@@ -472,11 +399,7 @@ class Lowerer {
         Emit(VmOp::kBeginOp, 0, 0, 0, kOpTimed, &node);
         const uint32_t src = AllocS();
         LowerSym(*node.children[0], src);
-        program_.rbit_sites.push_back(
-            VmRbitSite{RegionSlot(node.region_args[0]),
-                       RegionSlot(node.region_args[1])});
-        Emit(VmOp::kRbitFinish, dest, src, 0,
-             static_cast<uint32_t>(program_.rbit_sites.size() - 1), &node);
+        Emit(VmOp::kRbitFinish, dest, src, 0, 0, &node);
         FreeS();
         Emit(VmOp::kEndOp, 0, 0, 0, kOpTimed, &node);
         break;
@@ -491,7 +414,7 @@ class Lowerer {
       default:
         LCDB_CHECK_MSG(false, "symbolic operator in boolean lowering");
     }
-    Emit(VmOp::kLeaveBool, dest, 0, 0, memo, &node);
+    Emit(VmOp::kLeaveBool, dest, 0, 0, 0, &node);
     Cur().code[enter].b = Here();
   }
 
@@ -504,13 +427,8 @@ class Lowerer {
     for (const PlanNode* leaf : leaves) {
       auto it = leaf_ids_.find(leaf);
       if (it == leaf_ids_.end()) {
-        VmLeafSite site;
-        site.node = leaf;
-        site.proc = ProcFor(*leaf, /*symbolic=*/false);
-        site.region_slots = Slots(leaf->free_region);
-        site.reads_set = !leaf->free_sets.empty();
-        if (site.reads_set) site.set_slot = SetSlot(leaf->free_sets[0]);
-        program_.leaf_sites.push_back(std::move(site));
+        program_.leaf_sites.push_back(
+            VmLeafSite{leaf, ProcFor(*leaf, /*symbolic=*/false)});
         it = leaf_ids_
                  .emplace(leaf, static_cast<uint32_t>(
                                     program_.leaf_sites.size() - 1))
@@ -526,14 +444,8 @@ class Lowerer {
   std::vector<ProcBuild> builds_;
   std::vector<uint32_t> stack_;  ///< emit-context proc indices
   std::map<const PlanNode*, size_t> use_count_;
-  std::map<const PlanNode*, int> node_ids_;
   std::map<const PlanNode*, uint32_t> proc_ids_;
-  std::map<const PlanNode*, uint32_t> memo_ids_;
   std::map<const PlanNode*, uint32_t> leaf_ids_;
-  std::set<std::string> region_names_;
-  std::set<std::string> set_names_;
-  std::map<std::string, uint32_t> region_slots_;
-  std::map<std::string, uint32_t> set_slots_;
 };
 
 std::string Pc(size_t pc) {
@@ -561,10 +473,12 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
     }
     return "#" + std::to_string(it->second);
   };
-  auto rname = [&](uint32_t slot) {
-    return slot < program.region_slot_names.size()
-               ? program.region_slot_names[slot]
-               : "?";
+  const std::vector<std::string>& region_names = program.plan.region_names;
+  auto rnames = [&](const std::vector<uint32_t>& slots) {
+    return JoinSlotNames(slots, region_names, ",");
+  };
+  auto memoized = [](const VmInstr& in) {
+    return in.node->cache == CachePolicy::kByRegionKey;
   };
   auto leaves = [&](const std::vector<uint32_t>& ids) {
     std::string text = " leaves={";
@@ -603,16 +517,22 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
           line += (in.op == VmOp::kEnterSym ? "s" : "b") +
                   std::to_string(in.a) + " " + node_ref(in.node) + " " +
                   PlanOpName(in.node->op);
-          if (in.imm != 0) {
-            line += " memo=m" + std::to_string(in.imm - 1) + " skip->" +
-                    Pc(in.b);
+          if (memoized(in)) {
+            line += " memo={" + rnames(in.node->free_region) + "}";
+            if (!in.node->free_sets.empty()) {
+              line += " sets={" +
+                      JoinSlotNames(in.node->free_sets, program.plan.set_names,
+                                    ",") +
+                      "}";
+            }
+            line += " skip->" + Pc(in.b);
           }
           break;
         case VmOp::kLeaveSym:
         case VmOp::kLeaveBool:
           line += (in.op == VmOp::kLeaveSym ? "s" : "b") +
                   std::to_string(in.a);
-          if (in.imm != 0) line += " memo=m" + std::to_string(in.imm - 1);
+          if (memoized(in)) line += " memo";
           break;
         case VmOp::kConstFormula: {
           std::string f = in.node->const_formula->ToString();
@@ -621,7 +541,8 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
           break;
         }
         case VmOp::kInRegion:
-          line += "s" + std::to_string(in.a) + " " + rname(in.b);
+          line += "s" + std::to_string(in.a) + " " +
+                  rnames(in.node->region_args);
           break;
         case VmOp::kLiftBool:
           line += "s" + std::to_string(in.a) + " b" + std::to_string(in.b);
@@ -655,12 +576,13 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
           line += "b" + std::to_string(in.a) + " b" + std::to_string(in.b);
           break;
         case VmOp::kRegionAtom:
-          line += "b" + std::to_string(in.a) + " " + rname(in.b);
-          if (in.node->region_args.size() > 1) line += "," + rname(in.c);
+          line += "b" + std::to_string(in.a) + " " +
+                  rnames(in.node->region_args);
           break;
         case VmOp::kSetMember:
-          line += "b" + std::to_string(in.a) + " " + in.node->set_var +
-                  " tuple=t" + std::to_string(in.imm);
+          line += "b" + std::to_string(in.a) + " " +
+                  SlotName(in.node->set_var, program.plan.set_names) + "(" +
+                  rnames(in.node->region_args) + ")";
           break;
         case VmOp::kFixpointMember:
           line += "b" + std::to_string(in.a) + " site=f" +
@@ -698,7 +620,8 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
           line += "i" + std::to_string(in.a) + " ->" + Pc(in.b);
           break;
         case VmOp::kSetRegion:
-          line += rname(in.a) + " = i" + std::to_string(in.b);
+          line += SlotName(in.node->region_var, region_names) + " = i" +
+                  std::to_string(in.b);
           break;
         case VmOp::kBeginOp:
         case VmOp::kEndOp: {
@@ -724,26 +647,6 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
       }
       out += line + "\n";
     }
-  }
-  for (size_t i = 0; i < program.memo_descs.size(); ++i) {
-    const VmMemoDesc& d = program.memo_descs[i];
-    out += "memo m" + std::to_string(i) + ": regions={";
-    for (size_t j = 0; j < d.region_slots.size(); ++j) {
-      if (j > 0) out += ",";
-      out += rname(d.region_slots[j]);
-    }
-    out += "}";
-    if (!d.set_slots.empty()) {
-      out += " sets={";
-      for (size_t j = 0; j < d.set_slots.size(); ++j) {
-        if (j > 0) out += ",";
-        out += d.set_slots[j] < program.set_slot_names.size()
-                   ? program.set_slot_names[d.set_slots[j]]
-                   : "?";
-      }
-      out += "}";
-    }
-    out += "\n";
   }
   out += "-- " + std::to_string(program.procs.size()) + " proc(s), " +
          std::to_string(program.TotalInstructions()) + " instruction(s)\n";

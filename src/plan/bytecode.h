@@ -18,11 +18,6 @@ namespace lcdb {
 ///  * `b` registers hold booleans (boolean operators),
 ///  * `i` registers hold loop counters (region-sort iteration).
 ///
-/// Region and set *environments* — std::map<std::string,...> on the tree
-/// path — become flat slot arrays resolved at lowering time: the type
-/// checker rejects variable shadowing, so every region/set variable name in
-/// a plan denotes exactly one binding and gets exactly one slot.
-///
 /// The lowering mirrors the tree executor's recursion instruction for
 /// instruction: every plan node opens with an Enter instruction (governor
 /// checkpoint, node counters, EXPLAIN ANALYZE call accounting, memo probe)
@@ -34,13 +29,13 @@ namespace lcdb {
 /// bytecode and the VM").
 enum class VmOp : uint8_t {
   // ---- Node entry / exit (checkpoint + counters + memo + profile).
-  kEnterSym,   ///< a=dest s, b=skip pc on memo hit, imm=memo desc id (+1)
-  kLeaveSym,   ///< a=dest s, imm=memo desc id (+1)
-  kEnterBool,  ///< a=dest b, b=skip pc on memo hit, imm=memo desc id (+1)
-  kLeaveBool,  ///< a=dest b, imm=memo desc id (+1)
+  kEnterSym,   ///< a=dest s, b=skip pc on a memo hit (cache-marked node)
+  kLeaveSym,   ///< a=dest s; stores the result of a cache-marked node
+  kEnterBool,  ///< a=dest b, b=skip pc on a memo hit (cache-marked node)
+  kLeaveBool,  ///< a=dest b; stores the result of a cache-marked node
   // ---- Symbolic producers (results in s registers).
   kConstFormula,  ///< s[a] = *node->const_formula
-  kInRegion,      ///< s[a] = region(renv[b]) substituted through node->subst
+  kInRegion,      ///< s[a] = region(env[arg 0]) substituted through subst
   kLiftBool,      ///< s[a] = b[b] ? True(m) : False(m)
   kNegSym,        ///< s[a] = s[a].Negate()
   kAndSym,        ///< s[a] = s[a].And(s[b])
@@ -55,11 +50,11 @@ enum class VmOp : uint8_t {
   kLoadBool,        ///< b[a] = imm
   kNotBool,         ///< b[a] = !b[a]
   kEqBool,          ///< b[a] = (b[a] == b[b])
-  kRegionAtom,      ///< b[a] = atom(node->source_kind, renv[b] [, renv[c]])
-  kSetMember,       ///< b[a] = tuple(list imm) in senv[b]'s current stage
-  kFixpointMember,  ///< b[a] = tuple in the engine's fixpoint set (site imm)
-  kClosureMember,   ///< b[a] = closure(site imm)[from][to]
-  kRbitFinish,      ///< b[a] = rBIT verdict of body s[b]; site imm
+  kRegionAtom,      ///< b[a] = atom(node->source_kind, env[args])
+  kSetMember,       ///< b[a] = env[args] in the set slot's current stage
+  kFixpointMember,  ///< b[a] = env[args] in fixpoint(site imm)
+  kClosureMember,   ///< b[a] = closure(site imm)[env[args]][env[args2]]
+  kRbitFinish,      ///< b[a] = rBIT verdict of body s[b] at env[args]
   kNonEmpty,        ///< b[a] = !s[b].IsEmpty()
   // ---- Control flow (jump targets are within-proc pcs).
   kJmp,            ///< pc = b
@@ -70,7 +65,7 @@ enum class VmOp : uint8_t {
   kLoadImm,        ///< i[a] = imm
   kLoopHead,       ///< if i[a] >= |Reg| pc = b; imm = governor stride
   kLoopNext,       ///< ++i[a]; pc = b
-  kSetRegion,      ///< renv[a] = i[b]
+  kSetRegion,      ///< env[node->region_var] = i[b]
   // ---- Operator accounting (ScopedOpTimer / counter brackets).
   kBeginOp,  ///< imm = OpFlags; timed ops push a timer + trace span
   kEndOp,    ///< pops the matching timer, records into op_timings
@@ -89,8 +84,9 @@ enum OpFlags : uint32_t {
 };
 
 /// One fixed-width instruction. `node` points into the compiled plan (kept
-/// alive by BytecodeProgram::plan) for payload access, cache identity and
-/// profile attribution.
+/// alive by BytecodeProgram::plan) for payload access — the region and set
+/// slots included, so no slot operand is duplicated here — cache identity
+/// and profile attribution.
 struct VmInstr {
   VmOp op = VmOp::kHalt;
   uint32_t a = 0;
@@ -100,49 +96,18 @@ struct VmInstr {
   const PlanNode* node = nullptr;
 };
 
-/// Memo-key layout of one cacheable node: region slots in the node's
-/// name-sorted free_region order, then set slots in free_sets order — the
-/// exact key the tree executor's CacheKey builds, so hit patterns match.
-struct VmMemoDesc {
-  std::vector<uint32_t> region_slots;
-  std::vector<uint32_t> set_slots;
-};
-
-/// Region-slot operands of a kSetMember tuple (arbitrary arity).
-using VmSlotList = std::vector<uint32_t>;
-
 /// One opaque leaf of a fixpoint or closure body (plan/region_relations.h):
 /// a node the set-at-a-time engine evaluates tuple-at-a-time by calling
-/// back into the VM, which binds the leaf's free region variables (and the
-/// enclosing set variable, when the leaf reads it) and runs `proc`.
+/// back into the VM, which runs `proc` under the slots the engine bound.
 struct VmLeafSite {
   const PlanNode* node = nullptr;
   uint32_t proc = 0;
-  std::vector<uint32_t> region_slots;  ///< node->free_region order
-  bool reads_set = false;
-  uint32_t set_slot = 0;               ///< valid when reads_set
 };
 
-/// Payload of one kFixpointMember site: the applied arguments and the
-/// opaque leaves (leaf_sites ids) the engine may call back for while
-/// computing the set.
-struct VmFixpointSite {
-  std::vector<uint32_t> arg_slots;
+/// Payload of one kFixpointMember or kClosureMember site: the opaque leaves
+/// (leaf_sites ids) the engine may call back for while computing the set.
+struct VmMemberSite {
   std::vector<uint32_t> leaves;
-};
-
-/// Payload of one kClosureMember site: both applied tuples and the body's
-/// opaque leaves.
-struct VmClosureSite {
-  std::vector<uint32_t> arg_slots;
-  std::vector<uint32_t> arg2_slots;
-  std::vector<uint32_t> leaves;
-};
-
-/// Payload of one kRbitFinish site: the region slots of (R_n, R_d).
-struct VmRbitSite {
-  uint32_t rn_slot = 0;
-  uint32_t rd_slot = 0;
 };
 
 /// One procedure: the main program (proc 0), one proc per CSE-shared plan
@@ -163,17 +128,13 @@ struct VmProc {
 /// node pointers stay valid for the program's lifetime.
 struct BytecodeProgram {
   std::vector<VmProc> procs;  ///< procs[0] is the entry point
-  std::vector<std::string> region_slot_names;
-  std::vector<std::string> set_slot_names;
-  std::vector<VmMemoDesc> memo_descs;
-  std::vector<VmSlotList> slot_lists;
-  std::vector<VmFixpointSite> fixpoint_sites;
-  std::vector<VmClosureSite> closure_sites;
+  std::vector<VmMemberSite> fixpoint_sites;
+  std::vector<VmMemberSite> closure_sites;
   std::vector<VmLeafSite> leaf_sites;
-  std::vector<VmRbitSite> rbit_sites;
   size_t num_columns = 0;
   size_t num_regions = 0;
-  CompiledPlan plan;  ///< keepalive for the node pointers above
+  /// Keepalive for the node pointers above, and the slot name tables.
+  CompiledPlan plan;
   /// Set by the caller after analysis/bytecode_verify.h accepts the
   /// program; BytecodeVm refuses to run unverified programs unless
   /// Options::verify is off.
@@ -189,18 +150,18 @@ struct BytecodeProgram {
 /// Lowers an *optimized* plan to bytecode. The pass requires the optimizer
 /// pipeline to have run (callers enforce Options::optimize; the Evaluator
 /// rejects use_bytecode without optimize as kInvalidArgument) because the
-/// lowering trusts the pass-maintained annotations — cache marks, name-
-/// sorted free-variable lists — that raw plans carry unset.
+/// lowering trusts the pass-maintained cache marks that raw plans carry
+/// unset.
 BytecodeProgram CompileToBytecode(const CompiledPlan& plan);
 
 /// Instruction mnemonic (disassembly, tests).
 const char* VmOpName(VmOp op);
 
 /// Deterministic human-readable listing of the whole program: one block per
-/// proc with register counts, one line per instruction with resolved slot
-/// names and 4-digit jump targets, plus the side tables. Byte-stable across
-/// runs (node references use lowering-order ids, never pointers) — the
-/// format `lcdbq --explain-bytecode` prints and the goldens pin.
+/// proc with register counts, one line per instruction with slot names
+/// from the plan's tables, memo keys and 4-digit jump targets. Byte-stable
+/// across runs (node references use lowering-order ids, never pointers) —
+/// the format `lcdbq --explain-bytecode` prints and the goldens pin.
 std::string DisassembleBytecode(const BytecodeProgram& program);
 
 }  // namespace lcdb

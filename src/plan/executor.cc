@@ -1,6 +1,6 @@
 #include "plan/executor.h"
 
-#include <string>
+#include <vector>
 
 #include "engine/governor.h"
 #include "geometry/convex_closure.h"
@@ -17,7 +17,7 @@ PlanExecutor::PlanExecutor(const CompiledPlan& plan,
                            const Evaluator::Options& options,
                            Evaluator::Stats* stats)
     : plan_(plan), ext_(ext), options_(options), stats_(stats),
-      num_columns_(plan.num_columns) {}
+      num_columns_(plan.num_columns), env_(plan), memo_(options, stats) {}
 
 template <typename Fn>
 auto PlanExecutor::Profiled(const PlanNode& node, Fn&& eval) {
@@ -32,9 +32,7 @@ DnfFormula PlanExecutor::Run() {
   // after compilation/optimization but before the first operator runs.
   LCDB_FAILPOINT("plan.execute");
   try {
-    RegionEnv renv;
-    SetEnv senv;
-    return Eval(*plan_.root, renv, senv);
+    return Eval(*plan_.root);
   } catch (...) {
     // This executor dies with the unwind, so completed fixpoint/closure
     // entries must be harvested into the ambient resume collector here —
@@ -47,117 +45,76 @@ DnfFormula PlanExecutor::Run() {
 RegionRelationEngine& PlanExecutor::Relations() {
   if (relations_ == nullptr) {
     RegionLeafEvaluator* leaves = this;
-    relations_ = std::make_unique<RegionRelationEngine>(ext_, options_, stats_,
-                                                        profile_, leaves);
+    relations_ = std::make_unique<RegionRelationEngine>(
+        ext_, options_, stats_, profile_, &env_, leaves);
   }
   return *relations_;
 }
 
-bool PlanExecutor::EvalOpaqueLeaf(const PlanNode& leaf,
-                                  const std::vector<size_t>& values,
-                                  const RegionRelation* stage,
-                                  size_t stage_version) {
-  RegionEnv renv;
-  for (size_t i = 0; i < values.size(); ++i) {
-    renv.emplace(leaf.free_region[i], values[i]);
-  }
-  SetEnv senv;
-  if (stage != nullptr) {
-    senv.emplace(leaf.free_sets[0], SetBinding{stage, stage_version});
-  }
-  return EvalBool(leaf, renv, senv);
+bool PlanExecutor::EvalOpaqueLeaf(const PlanNode& leaf) {
+  return EvalBool(leaf);
 }
 
-bool PlanExecutor::CacheKey(const PlanNode& node, const RegionEnv& renv,
-                            const SetEnv& senv, Tuple* key) const {
-  key->clear();
-  for (const std::string& r : node.free_region) {  // name-sorted
-    auto it = renv.find(r);
-    LCDB_CHECK(it != renv.end());
-    key->push_back(it->second);
-  }
-  // Set-dependent results are cached per fixpoint *stage* via the binding's
-  // version stamp.
-  for (const std::string& m : node.free_sets) {
-    key->push_back(senv.at(m).version);
-  }
-  return true;
-}
-
-DnfFormula PlanExecutor::Eval(const PlanNode& node, RegionEnv& renv,
-                              SetEnv& senv) {
+DnfFormula PlanExecutor::Eval(const PlanNode& node) {
   // Cancellation point per plan node — in particular one per region-
   // quantifier expansion step, the executor's widest loops.
   GovernorCheckpoint();
   ++stats_->node_evaluations;
   if (profile_ != nullptr) ++(*profile_)[&node].calls;
-  Tuple key;
-  const bool cacheable = options_.memoize &&
-                         node.cache == CachePolicy::kByRegionKey &&
-                         CacheKey(node, renv, senv, &key);
+  PlanMemo::Key key;
+  const bool cacheable = memo_.KeyOf(node, env_, &key);
   if (cacheable) {
-    auto& per_node = memo_[&node];
-    auto it = per_node.find(key);
-    if (it != per_node.end()) {
-      ++stats_->memo_hits;
-      if (profile_ != nullptr) ++(*profile_)[&node].memo_hits;
-      if (IsTimedPlanOp(node.op)) {
-        ++stats_->op_timings[PlanOpName(node.op)].memo_hits;
-      }
-      return it->second;
-    }
+    if (const DnfFormula* hit = memo_.Find<DnfFormula>(node, key)) return *hit;
   }
-  DnfFormula result =
-      profile_ == nullptr
-          ? EvalUncached(node, renv, senv)
-          : Profiled(node, [&] { return EvalUncached(node, renv, senv); });
+  DnfFormula result = profile_ == nullptr
+                          ? EvalUncached(node)
+                          : Profiled(node, [&] { return EvalUncached(node); });
   if (profile_ != nullptr) {
     (*profile_)[&node].rows = result.disjuncts().size();
   }
-  if (cacheable) memo_[&node].emplace(std::move(key), result);
+  if (cacheable) memo_.Store(node, std::move(key), result);
   return result;
 }
 
-DnfFormula PlanExecutor::EvalUncached(const PlanNode& node, RegionEnv& renv,
-                                      SetEnv& senv) {
+DnfFormula PlanExecutor::EvalUncached(const PlanNode& node) {
   const size_t m = num_columns_;
   switch (node.op) {
     case PlanOp::kConstFormula:
       return *node.const_formula;
     case PlanOp::kInRegion: {
       const Conjunction& region =
-          ext_.RegionFormula(renv.at(node.region_args[0]));
+          ext_.RegionFormula(env_.regions[node.region_args[0]]);
       DnfFormula region_formula(region.num_vars(), {region});
       return region_formula.Substitute(node.subst, m);
     }
     case PlanOp::kLiftBool:
-      return EvalBool(*node.children[0], renv, senv) ? DnfFormula::True(m)
-                                                     : DnfFormula::False(m);
+      return EvalBool(*node.children[0]) ? DnfFormula::True(m)
+                                         : DnfFormula::False(m);
     case PlanOp::kNegateSym:
-      return Eval(*node.children[0], renv, senv).Negate();
+      return Eval(*node.children[0]).Negate();
     case PlanOp::kAndSym: {
-      DnfFormula a = Eval(*node.children[0], renv, senv);
+      DnfFormula a = Eval(*node.children[0]);
       if (a.IsSyntacticallyFalse()) return a;
-      return a.And(Eval(*node.children[1], renv, senv));
+      return a.And(Eval(*node.children[1]));
     }
     case PlanOp::kOrSym: {
-      DnfFormula a = Eval(*node.children[0], renv, senv);
+      DnfFormula a = Eval(*node.children[0]);
       if (a.IsSyntacticallyTrue()) return a;
-      return a.Or(Eval(*node.children[1], renv, senv));
+      return a.Or(Eval(*node.children[1]));
     }
     case PlanOp::kImpliesSym: {
-      DnfFormula a = Eval(*node.children[0], renv, senv);
+      DnfFormula a = Eval(*node.children[0]);
       if (a.IsSyntacticallyFalse()) return DnfFormula::True(m);
-      return a.Negate().Or(Eval(*node.children[1], renv, senv));
+      return a.Negate().Or(Eval(*node.children[1]));
     }
     case PlanOp::kIffSym: {
-      DnfFormula a = Eval(*node.children[0], renv, senv);
-      DnfFormula b = Eval(*node.children[1], renv, senv);
+      DnfFormula a = Eval(*node.children[0]);
+      DnfFormula b = Eval(*node.children[1]);
       return a.And(b).Or(a.Negate().And(b.Negate()));
     }
     case PlanOp::kHull: {
       ScopedOpTimer timer(&stats_->op_timings, node.op);
-      DnfFormula body = Eval(*node.children[0], renv, senv);
+      DnfFormula body = Eval(*node.children[0]);
       DnfFormula projected = body.Substitute(node.hull_project,
                                              node.hull_arity);
       Result<DnfFormula> hull = ConvexClosure(projected);
@@ -167,23 +124,22 @@ DnfFormula PlanExecutor::EvalUncached(const PlanNode& node, RegionEnv& renv,
     case PlanOp::kExistsElim: {
       ScopedOpTimer timer(&stats_->op_timings, node.op);
       ++stats_->qe_eliminations;
-      return ExistsVariable(Eval(*node.children[0], renv, senv), node.column);
+      return ExistsVariable(Eval(*node.children[0]), node.column);
     }
     case PlanOp::kForallElim: {
       ScopedOpTimer timer(&stats_->op_timings, node.op);
       ++stats_->qe_eliminations;
-      return ForallVariable(Eval(*node.children[0], renv, senv), node.column);
+      return ForallVariable(Eval(*node.children[0]), node.column);
     }
     case PlanOp::kExpandExists: {
       ScopedOpTimer timer(&stats_->op_timings, node.op);
       ++stats_->region_expansions;
       DnfFormula acc = DnfFormula::False(m);
       for (size_t r = 0; r < ext_.num_regions(); ++r) {
-        renv[node.region_var] = r;
-        acc = acc.Or(Eval(*node.children[0], renv, senv));
+        env_.regions[node.region_var] = r;
+        acc = acc.Or(Eval(*node.children[0]));
         if (acc.IsSyntacticallyTrue()) break;
       }
-      renv.erase(node.region_var);
       return acc;
     }
     case PlanOp::kExpandForall: {
@@ -191,11 +147,10 @@ DnfFormula PlanExecutor::EvalUncached(const PlanNode& node, RegionEnv& renv,
       ++stats_->region_expansions;
       DnfFormula acc = DnfFormula::True(m);
       for (size_t r = 0; r < ext_.num_regions(); ++r) {
-        renv[node.region_var] = r;
-        acc = acc.And(Eval(*node.children[0], renv, senv));
+        env_.regions[node.region_var] = r;
+        acc = acc.And(Eval(*node.children[0]));
         if (acc.IsSyntacticallyFalse()) break;
       }
-      renv.erase(node.region_var);
       return acc;
     }
     default:
@@ -204,109 +159,89 @@ DnfFormula PlanExecutor::EvalUncached(const PlanNode& node, RegionEnv& renv,
   }
 }
 
-bool PlanExecutor::EvalBool(const PlanNode& node, RegionEnv& renv,
-                            SetEnv& senv) {
+bool PlanExecutor::EvalBool(const PlanNode& node) {
   GovernorCheckpoint();
   ++stats_->bool_evaluations;
   if (profile_ != nullptr) ++(*profile_)[&node].calls;
-  Tuple key;
-  const bool cacheable = options_.memoize &&
-                         node.cache == CachePolicy::kByRegionKey &&
-                         CacheKey(node, renv, senv, &key);
+  PlanMemo::Key key;
+  const bool cacheable = memo_.KeyOf(node, env_, &key);
   if (cacheable) {
-    auto& per_node = bool_memo_[&node];
-    auto it = per_node.find(key);
-    if (it != per_node.end()) {
-      ++stats_->memo_hits;
-      if (profile_ != nullptr) ++(*profile_)[&node].memo_hits;
-      if (IsTimedPlanOp(node.op)) {
-        ++stats_->op_timings[PlanOpName(node.op)].memo_hits;
-      }
-      return it->second;
-    }
+    if (const bool* hit = memo_.Find<bool>(node, key)) return *hit;
   }
   const bool result =
       profile_ == nullptr
-          ? EvalBoolUncached(node, renv, senv)
-          : Profiled(node, [&] { return EvalBoolUncached(node, renv, senv); });
+          ? EvalBoolUncached(node)
+          : Profiled(node, [&] { return EvalBoolUncached(node); });
   if (profile_ != nullptr) {
     (*profile_)[&node].rows = result ? 1 : 0;
   }
-  if (cacheable) bool_memo_[&node].emplace(std::move(key), result);
+  if (cacheable) memo_.Store(node, std::move(key), result);
   return result;
 }
 
-bool PlanExecutor::EvalBoolUncached(const PlanNode& node, RegionEnv& renv,
-                                    SetEnv& senv) {
+bool PlanExecutor::EvalBoolUncached(const PlanNode& node) {
   switch (node.op) {
     case PlanOp::kConstBool:
       return node.const_bool;
     case PlanOp::kNotBool:
-      return !EvalBool(*node.children[0], renv, senv);
+      return !EvalBool(*node.children[0]);
     case PlanOp::kAndBool:
-      return EvalBool(*node.children[0], renv, senv) &&
-             EvalBool(*node.children[1], renv, senv);
+      return EvalBool(*node.children[0]) && EvalBool(*node.children[1]);
     case PlanOp::kOrBool:
-      return EvalBool(*node.children[0], renv, senv) ||
-             EvalBool(*node.children[1], renv, senv);
+      return EvalBool(*node.children[0]) || EvalBool(*node.children[1]);
     case PlanOp::kImpliesBool:
-      return !EvalBool(*node.children[0], renv, senv) ||
-             EvalBool(*node.children[1], renv, senv);
+      return !EvalBool(*node.children[0]) || EvalBool(*node.children[1]);
     case PlanOp::kIffBool:
-      return EvalBool(*node.children[0], renv, senv) ==
-             EvalBool(*node.children[1], renv, senv);
+      return EvalBool(*node.children[0]) == EvalBool(*node.children[1]);
     case PlanOp::kAnyRegion: {
       ++stats_->region_expansions;
       bool found = false;
       for (size_t r = 0; r < ext_.num_regions() && !found; ++r) {
-        renv[node.region_var] = r;
-        found = EvalBool(*node.children[0], renv, senv);
+        env_.regions[node.region_var] = r;
+        found = EvalBool(*node.children[0]);
       }
-      renv.erase(node.region_var);
       return found;
     }
     case PlanOp::kAllRegion: {
       ++stats_->region_expansions;
       bool holds = true;
       for (size_t r = 0; r < ext_.num_regions() && holds; ++r) {
-        renv[node.region_var] = r;
-        holds = EvalBool(*node.children[0], renv, senv);
+        env_.regions[node.region_var] = r;
+        holds = EvalBool(*node.children[0]);
       }
-      renv.erase(node.region_var);
       return holds;
     }
     case PlanOp::kRegionAtom:
       return DecideRegionAtom(
-          ext_, node, renv.at(node.region_args[0]),
-          node.region_args.size() > 1 ? renv.at(node.region_args[1]) : 0);
+          ext_, node, env_.regions[node.region_args[0]],
+          node.region_args.size() > 1 ? env_.regions[node.region_args[1]]
+                                      : 0);
     case PlanOp::kSetMember:
     case PlanOp::kFixpointMember:
     case PlanOp::kClosureMember: {
       // Bit tests: the set's current stage, or a relation the engine
       // computes once per query.
-      Tuple tuple;
-      for (const std::string& r : node.region_args) tuple.push_back(renv.at(r));
-      for (const std::string& r : node.region_args2) {
-        tuple.push_back(renv.at(r));
-      }
+      std::vector<size_t> tuple;
+      for (uint32_t r : node.region_args) tuple.push_back(env_.regions[r]);
+      for (uint32_t r : node.region_args2) tuple.push_back(env_.regions[r]);
       const RegionRelation& relation =
-          node.op == PlanOp::kSetMember ? *senv.at(node.set_var).relation
+          node.op == PlanOp::kSetMember ? *env_.sets[node.set_var].relation
           : node.op == PlanOp::kFixpointMember ? Relations().Fixpoint(node)
                                                : Relations().Closure(node);
       return relation.Test(tuple.data());
     }
     case PlanOp::kRbitMember: {
       ScopedOpTimer timer(&stats_->op_timings, node.op);
-      const DnfFormula body = Eval(*node.children[0], renv, senv);
+      const DnfFormula body = Eval(*node.children[0]);
       return DecideRbit(ext_, node, body, num_columns_,
-                        renv.at(node.region_args[0]),
-                        renv.at(node.region_args[1]));
+                        env_.regions[node.region_args[0]],
+                        env_.regions[node.region_args[1]]);
     }
     case PlanOp::kNonEmpty:
       // Element-sort subtree in a boolean context: all element variables
       // inside are bound, so the child's formula is constant — test
       // emptiness, exactly as the legacy EvalBool fallthrough.
-      return !Eval(*node.children[0], renv, senv).IsEmpty();
+      return !Eval(*node.children[0]).IsEmpty();
     default:
       LCDB_CHECK_MSG(false, "symbolic operator in boolean context");
       return false;

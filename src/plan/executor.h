@@ -1,15 +1,13 @@
 #ifndef LCDB_PLAN_EXECUTOR_H_
 #define LCDB_PLAN_EXECUTOR_H_
 
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "core/evaluator.h"
 #include "db/region_extension.h"
 #include "plan/plan_ir.h"
 #include "plan/region_relations.h"
+#include "plan/slot_env.h"
 
 namespace lcdb {
 
@@ -20,10 +18,10 @@ namespace lcdb {
 ///
 /// Its recursion reproduces the legacy Evaluator's algebra step for step
 /// (same short-circuits, same accumulation order), so a plan executed
-/// without optimization yields byte-identical answer formulas. Caching
+/// without optimization yields byte-identical answer formulas. Region and set
+/// variables live in a SlotEnv indexed by the planner's slots. Caching
 /// follows each node's CachePolicy — assigned by the optimizer's
-/// MarkCacheable pass — keyed by the values of the node's free region
-/// variables plus the stage versions of its free set variables.
+/// MarkCacheable pass — through the PlanMemo the bytecode VM also uses.
 ///
 /// Fixpoint and closure members are bit tests against relations computed
 /// set-at-a-time by a RegionRelationEngine (plan/region_relations.h), the
@@ -48,24 +46,16 @@ class PlanExecutor : private RegionLeafEvaluator {
   /// hits, governor checkpoints and result cardinality into `profile`.
   /// Must be called before Run(); `profile` must outlive the executor.
   /// Profiling perturbs only timings, never results.
-  void EnableProfiling(PlanProfile* profile) { profile_ = profile; }
+  void EnableProfiling(PlanProfile* profile) {
+    profile_ = profile;
+    memo_.EnableProfiling(profile);
+  }
 
  private:
-  using RegionEnv = std::map<std::string, size_t>;
-  using Tuple = std::vector<size_t>;
-  /// A set variable bound to the engine's current fixpoint stage; the
-  /// version stamps memo keys of set-dependent nodes per stage.
-  struct SetBinding {
-    const RegionRelation* relation = nullptr;
-    size_t version = 0;
-  };
-  using SetEnv = std::map<std::string, SetBinding>;
-
-  DnfFormula Eval(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
-  DnfFormula EvalUncached(const PlanNode& node, RegionEnv& renv,
-                          SetEnv& senv);
-  bool EvalBool(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
-  bool EvalBoolUncached(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
+  DnfFormula Eval(const PlanNode& node);
+  DnfFormula EvalUncached(const PlanNode& node);
+  bool EvalBool(const PlanNode& node);
+  bool EvalBoolUncached(const PlanNode& node);
 
   /// Wraps one uncached evaluation in a NodeProfileBracket (profiling mode
   /// only).
@@ -74,14 +64,7 @@ class PlanExecutor : private RegionLeafEvaluator {
 
   /// The fixpoint/closure engine, constructed on the first member site.
   RegionRelationEngine& Relations();
-  bool EvalOpaqueLeaf(const PlanNode& leaf, const std::vector<size_t>& values,
-                      const RegionRelation* stage,
-                      size_t stage_version) override;
-
-  /// Cache key under the node's CachePolicy: free-region values
-  /// (name-sorted) then free-set stage versions.
-  bool CacheKey(const PlanNode& node, const RegionEnv& renv,
-                const SetEnv& senv, Tuple* key) const;
+  bool EvalOpaqueLeaf(const PlanNode& leaf) override;
 
   const CompiledPlan& plan_;
   const RegionExtension& ext_;
@@ -90,8 +73,8 @@ class PlanExecutor : private RegionLeafEvaluator {
   PlanProfile* profile_ = nullptr;  ///< EXPLAIN ANALYZE sink, usually null
   size_t num_columns_;
 
-  std::map<const PlanNode*, std::map<Tuple, DnfFormula>> memo_;
-  std::map<const PlanNode*, std::map<Tuple, bool>> bool_memo_;
+  SlotEnv env_;
+  PlanMemo memo_;
   std::unique_ptr<RegionRelationEngine> relations_;
 };
 

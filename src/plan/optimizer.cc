@@ -21,8 +21,9 @@ namespace {
 
 class Optimizer {
  public:
-  Optimizer(size_t num_regions, size_t num_columns, PlanPassStats* stats)
-      : n_(num_regions), m_(num_columns), stats_(stats) {}
+  Optimizer(const CompiledPlan& plan, PlanPassStats* stats)
+      : plan_(plan), n_(plan.num_regions), m_(plan.num_columns),
+        stats_(stats) {}
 
   PlanPtr Run(PlanPtr root) {
     // Each pass gets its own trace span so EXPLAIN-style traces show where
@@ -63,7 +64,9 @@ class Optimizer {
     // break is pinned to the pass that introduced it, not discovered at
     // the post-pipeline gate with seven suspects.
     if (root != nullptr) {
-      if (Status verified = VerifyPlan(*root, m_, n_, name); !verified.ok()) {
+      CompiledPlan rewritten = plan_;  // the slot tables; the root is in flight
+      rewritten.root = root;
+      if (Status verified = VerifyPlan(rewritten, name); !verified.ok()) {
         throw QueryInterrupt(verified);
       }
     }
@@ -107,10 +110,10 @@ class Optimizer {
     return Derived(std::move(out));
   }
 
-  PlanPtr MakeQuantifier(PlanOp op, std::string var, PlanPtr body) {
+  PlanPtr MakeQuantifier(PlanOp op, uint32_t var, PlanPtr body) {
     auto out = std::make_shared<PlanNode>();
     out->op = op;
-    out->region_var = std::move(var);
+    out->region_var = var;
     out->children.push_back(std::move(body));
     return Derived(std::move(out));
   }
@@ -393,7 +396,7 @@ class Optimizer {
   /// conjuncts — the estimated-fan-out heuristic's selectivity signal: a
   /// guarded variable's effective fan-out is below |Reg|, so it loops
   /// outermost.
-  static size_t GuardCount(const PlanNode& body, const std::string& var) {
+  static size_t GuardCount(const PlanNode& body, uint32_t var) {
     const PlanNode* scan = &body;
     if (scan->op == PlanOp::kImpliesBool) scan = scan->children[0].get();
     std::vector<const PlanNode*> conjuncts;
@@ -424,12 +427,12 @@ class Optimizer {
         cursor = cursor->children[0].get();
       }
       const PlanNode& body = *chain.back()->children[0];
-      std::vector<std::string> vars;
+      std::vector<uint32_t> vars;
       vars.reserve(chain.size());
       for (PlanNode* q : chain) vars.push_back(q->region_var);
-      std::vector<std::string> ordered = vars;
+      std::vector<uint32_t> ordered = vars;
       std::stable_sort(ordered.begin(), ordered.end(),
-                       [&](const std::string& a, const std::string& b) {
+                       [&](uint32_t a, uint32_t b) {
                          return GuardCount(body, a) > GuardCount(body, b);
                        });
       if (ordered != vars) {
@@ -458,7 +461,7 @@ class Optimizer {
     if (node->op != PlanOp::kAnyRegion && node->op != PlanOp::kAllRegion) {
       return node;
     }
-    const std::string& var = node->region_var;
+    const uint32_t var = node->region_var;
     const PlanPtr& body = node->children[0];
 
     auto mentions = [&](const PlanPtr& c) {
@@ -573,12 +576,13 @@ class Optimizer {
     key += "|" + std::to_string(node.hull_arity);
     key += "|" + std::to_string(node.column);
     key += "|" + std::to_string(node.dim_value);
-    key += "|" + node.set_var + "|" + node.region_var;
-    for (const std::string& r : node.region_args) key += "," + r;
+    key += "|" + std::to_string(node.set_var) + "|" +
+           std::to_string(node.region_var);
+    for (uint32_t r : node.region_args) key += "," + std::to_string(r);
     key += "|";
-    for (const std::string& r : node.region_args2) key += "," + r;
+    for (uint32_t r : node.region_args2) key += "," + std::to_string(r);
     key += "|";
-    for (const std::string& r : node.bound_vars) key += "," + r;
+    for (uint32_t r : node.bound_vars) key += "," + std::to_string(r);
     for (const PlanPtr& child : node.children) {
       key += "|#" + std::to_string(cse_ids_.at(child.get()));
     }
@@ -599,6 +603,7 @@ class Optimizer {
     for (const PlanPtr& child : node->children) MarkCacheable(child.get());
   }
 
+  const CompiledPlan& plan_;
   size_t n_;
   size_t m_;
   PlanPassStats* stats_;
@@ -611,7 +616,7 @@ class Optimizer {
 
 void OptimizePlan(CompiledPlan* plan, PlanPassStats* stats) {
   LCDB_CHECK(plan != nullptr && plan->root != nullptr);
-  Optimizer optimizer(plan->num_regions, plan->num_columns, stats);
+  Optimizer optimizer(*plan, stats);
   plan->root = optimizer.Run(std::move(plan->root));
   stats->plan_nodes = CountPlanNodes(*plan->root);
 }

@@ -42,6 +42,21 @@ std::string PlanOpName(PlanOp op) {
   return "?";
 }
 
+std::string SlotName(uint32_t slot, const std::vector<std::string>& names) {
+  return slot < names.size() ? names[slot] : "?" + std::to_string(slot);
+}
+
+std::string JoinSlotNames(const std::vector<uint32_t>& slots,
+                          const std::vector<std::string>& names,
+                          const char* separator) {
+  std::string out;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (i > 0) out += separator;
+    out += SlotName(slots[i], names);
+  }
+  return out;
+}
+
 namespace {
 
 /// n^k with saturation at SIZE_MAX (fan-out estimates only).
@@ -77,15 +92,6 @@ const char* FixpointName(NodeKind kind) {
   }
 }
 
-std::string JoinNames(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ",";
-    out += n;
-  }
-  return out;
-}
-
 std::string FormatNs(uint64_t ns) {
   char buf[32];
   if (ns >= 1000000000ull) {
@@ -104,7 +110,7 @@ std::string FormatNs(uint64_t ns) {
 }  // namespace
 
 void DeriveAnnotations(PlanNode* node, size_t num_regions) {
-  std::set<std::string> fr, fs;
+  std::set<uint32_t> fr, fs;
   bool pure = true;
   bool worth = false;
   for (const PlanPtr& child : node->children) {
@@ -158,14 +164,14 @@ void DeriveAnnotations(PlanNode* node, size_t num_regions) {
       // engine computes once per query (plan/region_relations.h): cheaper
       // than a memo probe, so members never make a subtree worth caching.
       worth = false;
-      for (const std::string& b : node->bound_vars) fr.erase(b);
+      for (uint32_t b : node->bound_vars) fr.erase(b);
       fs.erase(node->set_var);
       fr.insert(node->region_args.begin(), node->region_args.end());
       node->est_fanout = SaturatingPow(num_regions, node->bound_vars.size());
       break;
     case PlanOp::kClosureMember: {
       worth = false;  // a bit test, like kFixpointMember
-      for (const std::string& b : node->bound_vars) fr.erase(b);
+      for (uint32_t b : node->bound_vars) fr.erase(b);
       fr.insert(node->region_args.begin(), node->region_args.end());
       fr.insert(node->region_args2.begin(), node->region_args2.end());
       const size_t space =
@@ -203,9 +209,9 @@ void CountNodesImpl(const PlanNode& node, std::set<const PlanNode*>* seen) {
 
 class PlanPrinter {
  public:
-  PlanPrinter(size_t num_regions, const PlanProfile* profile,
+  PlanPrinter(const CompiledPlan& plan, const PlanProfile* profile,
               const PlanCostMap* costs)
-      : num_regions_(num_regions), profile_(profile), costs_(costs) {}
+      : plan_(plan), profile_(profile), costs_(costs) {}
 
   void Print(const PlanNode& node, size_t depth) {
     out_.append(2 * depth, ' ');
@@ -239,34 +245,36 @@ class PlanPrinter {
       case PlanOp::kConstBool:
         return node.const_bool ? "{true}" : "{false}";
       case PlanOp::kInRegion:
-        return node.region_args[0];
+        return RegionNames(node.region_args);
       case PlanOp::kExpandExists:
       case PlanOp::kExpandForall:
       case PlanOp::kAnyRegion:
       case PlanOp::kAllRegion:
-        return node.region_var;
+        return SlotName(node.region_var, plan_.region_names);
       case PlanOp::kExistsElim:
       case PlanOp::kForallElim:
         return "col" + std::to_string(node.column);
       case PlanOp::kRegionAtom:
         return std::string(RegionAtomName(node.source_kind)) + "(" +
-               JoinNames(node.region_args) +
+               RegionNames(node.region_args) +
                (node.source_kind == NodeKind::kDimAtom
                     ? ")=" + std::to_string(node.dim_value)
                     : ")");
       case PlanOp::kSetMember:
-        return node.set_var + "(" + JoinNames(node.region_args) + ")";
+        return SlotName(node.set_var, plan_.set_names) + "(" +
+               RegionNames(node.region_args) + ")";
       case PlanOp::kFixpointMember:
         return std::string(FixpointName(node.source_kind)) + " " +
-               node.set_var + " " + JoinNames(node.bound_vars) + " (" +
-               JoinNames(node.region_args) + ")";
+               SlotName(node.set_var, plan_.set_names) + " " +
+               RegionNames(node.bound_vars) + " (" +
+               RegionNames(node.region_args) + ")";
       case PlanOp::kClosureMember:
         return std::string(FixpointName(node.source_kind)) + " " +
-               JoinNames(node.bound_vars) + " (" +
-               JoinNames(node.region_args) + " ; " +
-               JoinNames(node.region_args2) + ")";
+               RegionNames(node.bound_vars) + " (" +
+               RegionNames(node.region_args) + " ; " +
+               RegionNames(node.region_args2) + ")";
       case PlanOp::kRbitMember:
-        return "(" + JoinNames(node.region_args) + ")";
+        return "(" + RegionNames(node.region_args) + ")";
       default:
         return "";
     }
@@ -274,9 +282,10 @@ class PlanPrinter {
 
   std::string Annotations(const PlanNode& node) {
     std::string out = "  [";
-    out += "free={" + JoinNames(node.free_region) + "}";
+    out += "free={" + RegionNames(node.free_region) + "}";
     if (!node.free_sets.empty()) {
-      out += " set-dep={" + JoinNames(node.free_sets) + "}";
+      out += " set-dep={" +
+             JoinSlotNames(node.free_sets, plan_.set_names, ",") + "}";
     }
     out += node.cache == CachePolicy::kByRegionKey ? " cache=region-key"
                                                    : " cache=none";
@@ -335,7 +344,11 @@ class PlanPrinter {
     return out;
   }
 
-  size_t num_regions_;
+  std::string RegionNames(const std::vector<uint32_t>& slots) const {
+    return JoinSlotNames(slots, plan_.region_names, ",");
+  }
+
+  const CompiledPlan& plan_;
   const PlanProfile* profile_;
   const PlanCostMap* costs_;
   std::string out_;
@@ -354,7 +367,7 @@ size_t CountPlanNodes(const PlanNode& root) {
 std::string PrintPlan(const CompiledPlan& plan, const PlanProfile* profile,
                       const PlanCostMap* costs) {
   LCDB_CHECK(plan.root != nullptr);
-  PlanPrinter printer(plan.num_regions, profile, costs);
+  PlanPrinter printer(plan, profile, costs);
   printer.Print(*plan.root, 0);
   return printer.Take();
 }

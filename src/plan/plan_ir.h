@@ -1,6 +1,7 @@
 #ifndef LCDB_PLAN_PLAN_IR_H_
 #define LCDB_PLAN_PLAN_IR_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -89,17 +90,20 @@ struct PlanNode {
   size_t hull_arity = 0;                 ///< kHull: number of hull variables
   size_t column = 0;          ///< kExistsElim/kForallElim/kRbitMember column
   int dim_value = 0;          ///< kRegionAtom for dim(R) = k
-  std::string set_var;        ///< kSetMember / kFixpointMember
-  std::string region_var;     ///< bound variable of region quantifier ops
-  std::vector<std::string> region_args;   ///< applied region variables
-  std::vector<std::string> region_args2;  ///< second tuple of kClosureMember
-  std::vector<std::string> bound_vars;    ///< fixpoint / closure bound tuple
+  // Variables are slots (CompiledPlan::region_names / set_names), not
+  // names: the planner numbers them once per query.
+  uint32_t set_var = 0;       ///< kSetMember / kFixpointMember
+  uint32_t region_var = 0;    ///< bound variable of region quantifier ops
+  std::vector<uint32_t> region_args;   ///< applied region variables
+  std::vector<uint32_t> region_args2;  ///< second tuple of kClosureMember
+  std::vector<uint32_t> bound_vars;    ///< fixpoint / closure bound tuple
 
   // ---- Annotations (planner-derived, optimizer-maintained).
-  /// Free region variables, name-sorted — the executor's cache key order.
-  std::vector<std::string> free_region;
-  /// Free set variables, name-sorted.
-  std::vector<std::string> free_sets;
+  /// Free region slots, ascending — which is name order, and the memo key
+  /// order of both executors.
+  std::vector<uint32_t> free_region;
+  /// Free set slots, ascending.
+  std::vector<uint32_t> free_sets;
   /// Subtree evaluates to exactly True(m)/False(m): no element-sort payload
   /// outside member-operator bodies. Such subtrees may be narrowed to
   /// boolean mode without changing the answer formula byte-for-byte.
@@ -126,10 +130,25 @@ struct CompiledPlan {
   size_t num_columns = 0;
   /// Regions of the extension the plan was compiled for.
   size_t num_regions = 0;
+  /// Slot -> name of every region and every set variable of the query.
+  /// The planner numbers each sort in name order, so ascending slots are
+  /// ascending names. The type checker rejects rebinding a name along a
+  /// path, so one slot per name is one slot per live binding: executors
+  /// index flat environments by slot.
+  std::vector<std::string> region_names;
+  std::vector<std::string> set_names;
 };
 
 /// Human-readable operator name (explain output, timing keys).
 std::string PlanOpName(PlanOp op);
+
+/// The name of `slot` in a CompiledPlan name table; "?N" when the slot is
+/// outside it (verifier messages about malformed plans).
+std::string SlotName(uint32_t slot, const std::vector<std::string>& names);
+/// The names of `slots`, joined by `separator`.
+std::string JoinSlotNames(const std::vector<uint32_t>& slots,
+                          const std::vector<std::string>& names,
+                          const char* separator);
 
 /// Operators whose executions are wall-clocked into Stats::op_timings (the
 /// expensive ones: QE, region expansion, hull, fixpoints, closures, rBIT).

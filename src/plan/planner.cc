@@ -1,5 +1,7 @@
 #include "plan/planner.h"
 
+#include <map>
+#include <set>
 #include <utility>
 
 #include "util/status.h"
@@ -10,10 +12,20 @@ namespace {
 
 class Planner {
  public:
-  Planner(const TypeInfo& info, const RegionExtension& ext)
-      : info_(info), ext_(ext), num_columns_(info.all_element_vars.size()) {}
+  Planner(const FormulaNode& query, const TypeInfo& info,
+          const RegionExtension& ext)
+      : info_(info), ext_(ext), num_columns_(info.all_element_vars.size()) {
+    std::set<std::string> regions, sets;
+    CollectVariables(query, &regions, &sets);
+    Number(regions, &region_names_, &region_slots_);
+    Number(sets, &set_names_, &set_slots_);
+  }
 
   size_t num_columns() const { return num_columns_; }
+  std::vector<std::string> TakeRegionNames() {
+    return std::move(region_names_);
+  }
+  std::vector<std::string> TakeSetNames() { return std::move(set_names_); }
 
   /// Symbolic lowering: the node's value is a DnfFormula.
   PlanPtr Lower(const FormulaNode& node) {
@@ -37,7 +49,7 @@ class Planner {
             TermSubstitution(node.terms), m));
       case NodeKind::kInRegion: {
         PlanPtr out = Make(PlanOp::kInRegion, node);
-        out->region_args = node.region_args;
+        out->region_args = RegionSlots(node.region_args);
         out->subst = TermSubstitution(node.terms);
         return Finish(std::move(out));
       }
@@ -108,7 +120,7 @@ class Planner {
                                ? PlanOp::kExpandExists
                                : PlanOp::kExpandForall,
                            node);
-        out->region_var = node.bound_vars[0];
+        out->region_var = RegionSlot(node.bound_vars[0]);
         out->children.push_back(Lower(*node.children[0]));
         return Finish(std::move(out));
       }
@@ -143,7 +155,7 @@ class Planner {
                                ? PlanOp::kAnyRegion
                                : PlanOp::kAllRegion,
                            node);
-        out->region_var = node.bound_vars[0];
+        out->region_var = RegionSlot(node.bound_vars[0]);
         out->children.push_back(LowerBool(*node.children[0]));
         return Finish(std::move(out));
       }
@@ -154,39 +166,39 @@ class Planner {
       case NodeKind::kDimAtom:
       case NodeKind::kBoundedAtom: {
         PlanPtr out = Make(PlanOp::kRegionAtom, node);
-        out->region_args = node.region_args;
+        out->region_args = RegionSlots(node.region_args);
         out->dim_value = node.dim_value;
         return Finish(std::move(out));
       }
       case NodeKind::kSetAtom: {
         PlanPtr out = Make(PlanOp::kSetMember, node);
-        out->set_var = node.set_var;
-        out->region_args = node.region_args;
+        out->set_var = set_slots_.at(node.set_var);
+        out->region_args = RegionSlots(node.region_args);
         return Finish(std::move(out));
       }
       case NodeKind::kLfp:
       case NodeKind::kIfp:
       case NodeKind::kPfp: {
         PlanPtr out = Make(PlanOp::kFixpointMember, node);
-        out->set_var = node.set_var;
-        out->bound_vars = node.bound_vars;
-        out->region_args = node.region_args;
+        out->set_var = set_slots_.at(node.set_var);
+        out->bound_vars = RegionSlots(node.bound_vars);
+        out->region_args = RegionSlots(node.region_args);
         out->children.push_back(LowerBool(*node.children[0]));
         return Finish(std::move(out));
       }
       case NodeKind::kTc:
       case NodeKind::kDtc: {
         PlanPtr out = Make(PlanOp::kClosureMember, node);
-        out->bound_vars = node.bound_vars;
-        out->region_args = node.region_args;
-        out->region_args2 = node.region_args2;
+        out->bound_vars = RegionSlots(node.bound_vars);
+        out->region_args = RegionSlots(node.region_args);
+        out->region_args2 = RegionSlots(node.region_args2);
         out->children.push_back(LowerBool(*node.children[0]));
         return Finish(std::move(out));
       }
       case NodeKind::kRbit: {
         PlanPtr out = Make(PlanOp::kRbitMember, node);
         out->column = Column(node.bound_vars[0]);
-        out->region_args = node.region_args;
+        out->region_args = RegionSlots(node.region_args);
         out->children.push_back(Lower(*node.children[0]));
         return Finish(std::move(out));
       }
@@ -208,6 +220,59 @@ class Planner {
   }
 
  private:
+  /// Every region variable (quantified, fixpoint/closure-bound or applied)
+  /// and every set variable of the query.
+  static void CollectVariables(const FormulaNode& node,
+                               std::set<std::string>* regions,
+                               std::set<std::string>* sets) {
+    regions->insert(node.region_args.begin(), node.region_args.end());
+    regions->insert(node.region_args2.begin(), node.region_args2.end());
+    switch (node.kind) {
+      case NodeKind::kExistsRegion:
+      case NodeKind::kForallRegion:
+      case NodeKind::kTc:
+      case NodeKind::kDtc:
+        regions->insert(node.bound_vars.begin(), node.bound_vars.end());
+        break;
+      case NodeKind::kLfp:
+      case NodeKind::kIfp:
+      case NodeKind::kPfp:
+        regions->insert(node.bound_vars.begin(), node.bound_vars.end());
+        sets->insert(node.set_var);
+        break;
+      case NodeKind::kSetAtom:
+        sets->insert(node.set_var);
+        break;
+      default:
+        break;
+    }
+    for (const auto& child : node.children) {
+      CollectVariables(*child, regions, sets);
+    }
+  }
+
+  /// Slots in name order: ascending slots are ascending names.
+  static void Number(const std::set<std::string>& names,
+                     std::vector<std::string>* table,
+                     std::map<std::string, uint32_t>* slots) {
+    for (const std::string& name : names) {
+      slots->emplace(name, static_cast<uint32_t>(table->size()));
+      table->push_back(name);
+    }
+  }
+
+  uint32_t RegionSlot(const std::string& name) const {
+    return region_slots_.at(name);
+  }
+
+  std::vector<uint32_t> RegionSlots(
+      const std::vector<std::string>& names) const {
+    std::vector<uint32_t> out;
+    out.reserve(names.size());
+    for (const std::string& name : names) out.push_back(RegionSlot(name));
+    return out;
+  }
+
   PlanPtr Make(PlanOp op, const FormulaNode& node) {
     auto out = std::make_shared<PlanNode>();
     out->op = op;
@@ -270,17 +335,23 @@ class Planner {
   const TypeInfo& info_;
   const RegionExtension& ext_;
   size_t num_columns_;
+  std::vector<std::string> region_names_;
+  std::vector<std::string> set_names_;
+  std::map<std::string, uint32_t> region_slots_;
+  std::map<std::string, uint32_t> set_slots_;
 };
 
 }  // namespace
 
 CompiledPlan BuildPlan(const FormulaNode& query, const TypeInfo& info,
                        const RegionExtension& ext) {
-  Planner planner(info, ext);
+  Planner planner(query, info, ext);
   CompiledPlan plan;
   plan.root = planner.Lower(query);
   plan.num_columns = planner.num_columns();
   plan.num_regions = ext.num_regions();
+  plan.region_names = planner.TakeRegionNames();
+  plan.set_names = planner.TakeSetNames();
   return plan;
 }
 

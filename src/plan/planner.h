@@ -18,6 +18,11 @@ namespace lcdb {
 /// formulas, in(...)/hull terms fold to affine substitution maps, element
 /// quantifiers to column indices. A raw plan executed without optimization
 /// therefore reproduces the legacy walk's answers byte for byte.
+///
+/// The planner also numbers the query's region variables and its set
+/// variables, each sort in name order (CompiledPlan::region_names /
+/// set_names), and every node stores these slots instead of names — the
+/// one place where a variable name becomes an environment position.
 CompiledPlan BuildPlan(const FormulaNode& query, const TypeInfo& info,
                        const RegionExtension& ext);
 

@@ -221,13 +221,13 @@ void CollectOpaqueRegionLeaves(const PlanNode& body, size_t num_regions,
 // ---------------------------------------------------------------------------
 // RegionRelationEngine
 
-/// Evaluation state of one body pass: the variables in scope in binding
+/// Evaluation state of one body pass: the region slots in scope in binding
 /// order (bound tuple first, then enclosing quantifiers outermost first —
 /// so a quantifier's variable is always the last coordinate of its child's
 /// relation), plus the set binding for fixpoint bodies.
 struct RegionRelationEngine::BodyFrame {
-  std::vector<std::string> scope;
-  const std::string* set_var = nullptr;
+  std::vector<uint32_t> scope;
+  const uint32_t* set_var = nullptr;
   const RegionRelation* stage = nullptr;
   size_t stage_version = 0;
   /// Semi-naive pass: occurrence `delta_occurrence` of the set variable (in
@@ -358,9 +358,10 @@ RegionRelationEngine::RegionRelationEngine(const RegionExtension& ext,
                                            const Evaluator::Options& options,
                                            Evaluator::Stats* stats,
                                            PlanProfile* profile,
+                                           SlotEnv* env,
                                            RegionLeafEvaluator* leaves)
     : ext_(ext), options_(options), stats_(stats), profile_(profile),
-      leaves_(leaves), n_(ext.num_regions()) {}
+      env_(env), leaves_(leaves), n_(ext.num_regions()) {}
 
 void RegionRelationEngine::HarvestResumeState() const {
   ResumeCollector* resume = CurrentResumeCollectorOrNull();
@@ -412,7 +413,7 @@ RegionRelationEngine::Schema RegionRelationEngine::SchemaOf(
     const PlanNode& node, const BodyFrame& frame) const {
   Schema schema;
   schema.reserve(node.free_region.size());
-  for (const std::string& var : node.free_region) {
+  for (uint32_t var : node.free_region) {
     auto it = std::find(frame.scope.begin(), frame.scope.end(), var);
     LCDB_CHECK_MSG(it != frame.scope.end(),
                    "fixpoint body variable is not in scope");
@@ -423,11 +424,11 @@ RegionRelationEngine::Schema RegionRelationEngine::SchemaOf(
 }
 
 std::vector<uint32_t> RegionRelationEngine::Coordinates(
-    const std::vector<std::string>& vars, const Schema& schema,
+    const std::vector<uint32_t>& vars, const Schema& schema,
     const BodyFrame& frame) const {
   std::vector<uint32_t> coord;
   coord.reserve(vars.size());
-  for (const std::string& var : vars) {
+  for (uint32_t var : vars) {
     const auto pos = static_cast<uint32_t>(
         std::find(frame.scope.begin(), frame.scope.end(), var) -
         frame.scope.begin());
@@ -438,7 +439,7 @@ std::vector<uint32_t> RegionRelationEngine::Coordinates(
 }
 
 size_t RegionRelationEngine::Occurrences(const PlanNode& node,
-                                         const std::string& set_var) {
+                                         uint32_t set_var) {
   if (std::find(node.free_sets.begin(), node.free_sets.end(), set_var) ==
       node.free_sets.end()) {
     return 0;
@@ -460,8 +461,7 @@ namespace {
 /// under ∧, ∨ and ∃: such a body distributes over union in every
 /// occurrence, so a tuple new at stage i+1 has a derivation that reads a
 /// stage-i delta tuple at some occurrence.
-bool SemiNaiveEligible(const PlanNode& node, const std::string& set_var,
-                       size_t n) {
+bool SemiNaiveEligible(const PlanNode& node, uint32_t set_var, size_t n) {
   if (std::find(node.free_sets.begin(), node.free_sets.end(), set_var) ==
       node.free_sets.end()) {
     return true;
@@ -676,7 +676,7 @@ RegionRelation RegionRelationEngine::EvalNode(const PlanNode& node,
     case PlanOp::kFixpointMember:
       return Gather(Fixpoint(node), node.region_args, schema, frame);
     case PlanOp::kClosureMember: {
-      std::vector<std::string> args = node.region_args;
+      std::vector<uint32_t> args = node.region_args;
       args.insert(args.end(), node.region_args2.begin(),
                   node.region_args2.end());
       return Gather(Closure(node), args, schema, frame);
@@ -840,7 +840,7 @@ RegionRelation RegionRelationEngine::EvalOpaque(const PlanNode& node,
                                                 const Schema& schema,
                                                 const RegionRelation& ctx,
                                                 const BodyFrame& frame) {
-  // The leaf's free variables are name-sorted; the schema is scope-sorted.
+  // The leaf's free slots ascend; the schema follows scope order.
   const std::vector<uint32_t> coord =
       Coordinates(node.free_region, schema, frame);
   const bool reads_set =
@@ -849,13 +849,15 @@ RegionRelation RegionRelationEngine::EvalOpaque(const PlanNode& node,
                 *frame.set_var) != node.free_sets.end();
   RegionRelation out(schema.size(), n_);
   std::vector<size_t> tuple;
-  std::vector<size_t> values(coord.size());
   ForEachBit(ctx, [&](size_t row, size_t bit) {
     DecodeTuple(row, bit, schema.size(), n_, &tuple);
-    for (size_t i = 0; i < coord.size(); ++i) values[i] = tuple[coord[i]];
-    if (leaves_->EvalOpaqueLeaf(node, values,
-                                reads_set ? frame.stage : nullptr,
-                                frame.stage_version)) {
+    for (size_t i = 0; i < coord.size(); ++i) {
+      env_->regions[node.free_region[i]] = tuple[coord[i]];
+    }
+    if (reads_set) {
+      env_->sets[*frame.set_var] = SetBinding{frame.stage, frame.stage_version};
+    }
+    if (leaves_->EvalOpaqueLeaf(node)) {
       out.row(row)[bit / 64] |= uint64_t{1} << (bit % 64);
     }
   });
@@ -863,7 +865,7 @@ RegionRelation RegionRelationEngine::EvalOpaque(const PlanNode& node,
 }
 
 RegionRelation RegionRelationEngine::Gather(
-    const RegionRelation& source, const std::vector<std::string>& args,
+    const RegionRelation& source, const std::vector<uint32_t>& args,
     const Schema& schema, const BodyFrame& frame) {
   const std::vector<uint32_t> coord = Coordinates(args, schema, frame);
   bool identity = args.size() == schema.size();

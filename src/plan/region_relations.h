@@ -12,6 +12,7 @@
 #include "core/evaluator.h"
 #include "db/region_extension.h"
 #include "plan/plan_ir.h"
+#include "plan/slot_env.h"
 
 namespace lcdb {
 
@@ -119,13 +120,10 @@ void CollectOpaqueRegionLeaves(const PlanNode& body, size_t num_regions,
 /// owns it (PlanExecutor, BytecodeVm), through its memoized evaluation.
 class RegionLeafEvaluator {
  public:
-  /// `values` binds leaf.free_region (name order). When the leaf reads the
-  /// enclosing fixpoint's set variable, `stage` is that variable's current
-  /// stage and `stage_version` its memo stamp; otherwise `stage` is null.
-  virtual bool EvalOpaqueLeaf(const PlanNode& leaf,
-                              const std::vector<size_t>& values,
-                              const RegionRelation* stage,
-                              size_t stage_version) = 0;
+  /// Evaluates `leaf` under the shared SlotEnv, in which the engine has
+  /// bound the leaf's free region slots and, when the leaf reads it, the
+  /// enclosing fixpoint's set slot to the current stage.
+  virtual bool EvalOpaqueLeaf(const PlanNode& leaf) = 0;
 
  protected:
   ~RegionLeafEvaluator() = default;
@@ -149,13 +147,13 @@ class RegionLeafEvaluator {
 ///
 /// One engine serves one plan execution and caches each operator's result
 /// by node identity. It is constructed only when a plan reaches a fixpoint
-/// or closure site.
+/// or closure site, and shares the owning executor's SlotEnv.
 class RegionRelationEngine {
  public:
   RegionRelationEngine(const RegionExtension& ext,
                        const Evaluator::Options& options,
                        Evaluator::Stats* stats, PlanProfile* profile,
-                       RegionLeafEvaluator* leaves);
+                       SlotEnv* env, RegionLeafEvaluator* leaves);
 
   /// The fixpoint set of a kFixpointMember node, over its bound variables
   /// in binding order.
@@ -192,18 +190,18 @@ class RegionRelationEngine {
                             const RegionRelation& ctx,
                             const BodyFrame& frame);
   /// Tests every tuple of `schema` against `source`, reading the source's
-  /// coordinates from the named arguments.
+  /// coordinates from the argument slots.
   RegionRelation Gather(const RegionRelation& source,
-                        const std::vector<std::string>& args,
+                        const std::vector<uint32_t>& args,
                         const Schema& schema, const BodyFrame& frame);
   Schema SchemaOf(const PlanNode& node, const BodyFrame& frame) const;
-  /// Index within `schema` of each named variable.
-  std::vector<uint32_t> Coordinates(const std::vector<std::string>& vars,
+  /// Index within `schema` of each region slot.
+  std::vector<uint32_t> Coordinates(const std::vector<uint32_t>& vars,
                                     const Schema& schema,
                                     const BodyFrame& frame) const;
   /// Occurrences of the frame's set variable in the tree expansion of
   /// `node` (semi-naive bookkeeping for skipped subtrees).
-  size_t Occurrences(const PlanNode& node, const std::string& set_var);
+  size_t Occurrences(const PlanNode& node, uint32_t set_var);
 
   RegionRelation Broadcast(const RegionRelation& src, const Schema& from,
                            const Schema& to);
@@ -214,6 +212,7 @@ class RegionRelationEngine {
   const Evaluator::Options& options_;
   Evaluator::Stats* stats_;
   PlanProfile* profile_;
+  SlotEnv* env_;
   RegionLeafEvaluator* leaves_;
   size_t n_;
 

@@ -21,9 +21,8 @@ BytecodeVm::BytecodeVm(const BytecodeProgram& program,
                        const Evaluator::Options& options,
                        Evaluator::Stats* stats)
     : program_(program), ext_(ext), options_(options), stats_(stats),
-      num_columns_(program.num_columns),
-      renv_(program.region_slot_names.size(), 0),
-      senv_(program.set_slot_names.size()) {
+      num_columns_(program.num_columns), env_(program.plan),
+      memo_(options, stats) {
   for (size_t i = 0; i < program.leaf_sites.size(); ++i) {
     leaf_index_.emplace(program.leaf_sites[i].node, static_cast<uint32_t>(i));
   }
@@ -62,24 +61,16 @@ DnfFormula BytecodeVm::Run() {
 RegionRelationEngine& BytecodeVm::Relations() {
   if (relations_ == nullptr) {
     RegionLeafEvaluator* leaves = this;
-    relations_ = std::make_unique<RegionRelationEngine>(ext_, options_, stats_,
-                                                        profile_, leaves);
+    relations_ = std::make_unique<RegionRelationEngine>(
+        ext_, options_, stats_, profile_, &env_, leaves);
   }
   return *relations_;
 }
 
-bool BytecodeVm::EvalOpaqueLeaf(const PlanNode& leaf,
-                                const std::vector<size_t>& values,
-                                const RegionRelation* stage,
-                                size_t stage_version) {
+bool BytecodeVm::EvalOpaqueLeaf(const PlanNode& leaf) {
   auto it = leaf_index_.find(&leaf);
   LCDB_CHECK_MSG(it != leaf_index_.end(), "opaque leaf without a proc");
-  const VmLeafSite& site = program_.leaf_sites[it->second];
-  for (size_t i = 0; i < values.size(); ++i) {
-    renv_[site.region_slots[i]] = values[i];
-  }
-  if (stage != nullptr) senv_[site.set_slot] = SetBinding{stage, stage_version};
-  return CallBoolProc(site.proc);
+  return CallBoolProc(program_.leaf_sites[it->second].proc);
 }
 
 DnfFormula BytecodeVm::CallSymProc(uint32_t proc_id) {
@@ -108,13 +99,6 @@ bool BytecodeVm::CallBoolProc(uint32_t proc_id) {
   bregs_.erase(bregs_.begin() + bb, bregs_.end());
   iregs_.erase(iregs_.begin() + ib, iregs_.end());
   return result;
-}
-
-void BytecodeVm::BuildKey(const VmMemoDesc& desc, Tuple* key) const {
-  key->clear();
-  key->reserve(desc.region_slots.size() + desc.set_slots.size());
-  for (uint32_t slot : desc.region_slots) key->push_back(renv_[slot]);
-  for (uint32_t slot : desc.set_slots) key->push_back(senv_[slot].version);
 }
 
 void BytecodeVm::PushOpFrame(const PlanNode& node) {
@@ -151,7 +135,8 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
   auto B = [&](uint32_t r) -> uint8_t& { return bregs_[bb + r]; };
   auto I = [&](uint32_t r) -> size_t& { return iregs_[ib + r]; };
 
-  Tuple key;
+  PlanMemo::Key key;
+  std::vector<size_t> tuple;
   size_t pc = 0;
   while (pc < n) {
     const VmInstr& in = code[pc];
@@ -169,34 +154,17 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
         }
         const PlanNode* node = in.node;
         if (profile_ != nullptr) ++(*profile_)[node].calls;
-        if (in.imm != 0 && options_.memoize) {
-          BuildKey(program_.memo_descs[in.imm - 1], &key);
+        if (memo_.KeyOf(*node, env_, &key)) {
           if (symbolic) {
-            auto& per_node = memo_[node];
-            auto it = per_node.find(key);
-            if (it != per_node.end()) {
-              ++stats_->memo_hits;
-              if (profile_ != nullptr) ++(*profile_)[node].memo_hits;
-              if (IsTimedPlanOp(node->op)) {
-                ++stats_->op_timings[PlanOpName(node->op)].memo_hits;
-              }
-              S(in.a) = it->second;
+            if (const DnfFormula* hit = memo_.Find<DnfFormula>(*node, key)) {
+              S(in.a) = *hit;
               pc = in.b;
               continue;
             }
-          } else {
-            auto& per_node = bool_memo_[node];
-            auto it = per_node.find(key);
-            if (it != per_node.end()) {
-              ++stats_->memo_hits;
-              if (profile_ != nullptr) ++(*profile_)[node].memo_hits;
-              if (IsTimedPlanOp(node->op)) {
-                ++stats_->op_timings[PlanOpName(node->op)].memo_hits;
-              }
-              B(in.a) = it->second ? 1 : 0;
-              pc = in.b;
-              continue;
-            }
+          } else if (const bool* hit = memo_.Find<bool>(*node, key)) {
+            B(in.a) = *hit ? 1 : 0;
+            pc = in.b;
+            continue;
           }
         }
         if (profile_ != nullptr) {
@@ -214,15 +182,14 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
           profile_stack_.pop_back();
           p.rows = symbolic ? S(in.a).disjuncts().size() : (B(in.a) ? 1 : 0);
         }
-        if (in.imm != 0 && options_.memoize) {
-          // Rebuilding the key here is sound: the node's free variables are
-          // bound by *ancestors*, and the typechecker's no-shadowing rule
-          // means no descendant loop can have rewritten their slots.
-          BuildKey(program_.memo_descs[in.imm - 1], &key);
+        // Rebuilding the key here is sound: the node's free variables are
+        // bound by *ancestors*, and the typechecker's no-shadowing rule
+        // means no descendant loop can have rewritten their slots.
+        if (memo_.KeyOf(*in.node, env_, &key)) {
           if (symbolic) {
-            memo_[in.node].emplace(key, S(in.a));
+            memo_.Store(*in.node, std::move(key), S(in.a));
           } else {
-            bool_memo_[in.node].emplace(key, B(in.a) != 0);
+            memo_.Store(*in.node, std::move(key), B(in.a) != 0);
           }
         }
         break;
@@ -232,7 +199,8 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
         S(in.a) = *in.node->const_formula;
         break;
       case VmOp::kInRegion: {
-        const Conjunction& region = ext_.RegionFormula(renv_[in.b]);
+        const Conjunction& region =
+            ext_.RegionFormula(env_.regions[in.node->region_args[0]]);
         DnfFormula region_formula(region.num_vars(), {region});
         S(in.a) = region_formula.Substitute(in.node->subst, num_columns_);
         break;
@@ -287,41 +255,37 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
       case VmOp::kEqBool:
         B(in.a) = (B(in.a) != 0) == (B(in.b) != 0) ? 1 : 0;
         break;
-      case VmOp::kRegionAtom:
-        B(in.a) = DecideRegionAtom(ext_, *in.node, renv_[in.b], renv_[in.c])
+      case VmOp::kRegionAtom: {
+        const std::vector<uint32_t>& args = in.node->region_args;
+        B(in.a) = DecideRegionAtom(
+                      ext_, *in.node, env_.regions[args[0]],
+                      args.size() > 1 ? env_.regions[args[1]] : 0)
                       ? 1
                       : 0;
         break;
-      case VmOp::kSetMember: {
-        const VmSlotList& list = program_.slot_lists[in.imm];
-        const SetBinding& binding = senv_[in.b];
-        LCDB_CHECK(binding.relation != nullptr);
-        key.clear();
-        for (uint32_t slot : list) key.push_back(renv_[slot]);
-        B(in.a) = binding.relation->Test(key.data()) ? 1 : 0;
-        break;
       }
-      case VmOp::kFixpointMember: {
-        const VmFixpointSite& site = program_.fixpoint_sites[in.imm];
-        const RegionRelation& fp = Relations().Fixpoint(*in.node);
-        key.clear();
-        for (uint32_t slot : site.arg_slots) key.push_back(renv_[slot]);
-        B(in.a) = fp.Test(key.data()) ? 1 : 0;
-        break;
-      }
+      case VmOp::kSetMember:
+      case VmOp::kFixpointMember:
       case VmOp::kClosureMember: {
-        const VmClosureSite& site = program_.closure_sites[in.imm];
-        const RegionRelation& closure = Relations().Closure(*in.node);
-        key.clear();
-        for (uint32_t slot : site.arg_slots) key.push_back(renv_[slot]);
-        for (uint32_t slot : site.arg2_slots) key.push_back(renv_[slot]);
-        B(in.a) = closure.Test(key.data()) ? 1 : 0;
+        tuple.clear();
+        for (uint32_t r : in.node->region_args) {
+          tuple.push_back(env_.regions[r]);
+        }
+        for (uint32_t r : in.node->region_args2) {
+          tuple.push_back(env_.regions[r]);
+        }
+        const RegionRelation& relation =
+            in.op == VmOp::kSetMember ? *env_.sets[in.node->set_var].relation
+            : in.op == VmOp::kFixpointMember
+                ? Relations().Fixpoint(*in.node)
+                : Relations().Closure(*in.node);
+        B(in.a) = relation.Test(tuple.data()) ? 1 : 0;
         break;
       }
       case VmOp::kRbitFinish: {
-        const VmRbitSite& site = program_.rbit_sites[in.imm];
+        const std::vector<uint32_t>& args = in.node->region_args;
         B(in.a) = DecideRbit(ext_, *in.node, S(in.b), num_columns_,
-                             renv_[site.rn_slot], renv_[site.rd_slot])
+                             env_.regions[args[0]], env_.regions[args[1]])
                       ? 1
                       : 0;
         break;
@@ -375,7 +339,7 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
         pc = in.b;
         continue;
       case VmOp::kSetRegion:
-        renv_[in.a] = I(in.b);
+        env_.regions[in.node->region_var] = I(in.b);
         break;
       // ---- Operator accounting.
       case VmOp::kBeginOp:

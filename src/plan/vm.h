@@ -12,6 +12,7 @@
 #include "plan/bytecode.h"
 #include "plan/op_timer.h"
 #include "plan/region_relations.h"
+#include "plan/slot_env.h"
 
 namespace lcdb {
 
@@ -41,15 +42,12 @@ class BytecodeVm : private RegionLeafEvaluator {
   DnfFormula Run();
 
   /// EXPLAIN ANALYZE sink, same contract as PlanExecutor::EnableProfiling.
-  void EnableProfiling(PlanProfile* profile) { profile_ = profile; }
+  void EnableProfiling(PlanProfile* profile) {
+    profile_ = profile;
+    memo_.EnableProfiling(profile);
+  }
 
  private:
-  using Tuple = std::vector<size_t>;
-  /// A set variable bound to the engine's current fixpoint stage.
-  struct SetBinding {
-    const RegionRelation* relation = nullptr;
-    size_t version = 0;
-  };
   /// One open kBeginOp(kOpTimed) bracket: closed by kEndOp or by the
   /// unwind handler in Run().
   struct OpFrame {
@@ -73,17 +71,12 @@ class BytecodeVm : private RegionLeafEvaluator {
   /// frame offsets.
   void Dispatch(const VmProc& proc, size_t sb, size_t bb, size_t ib);
 
-  /// Builds the memo key of `desc` from the current slot environments —
-  /// the same value sequence PlanExecutor::CacheKey pushes.
-  void BuildKey(const VmMemoDesc& desc, Tuple* key) const;
-
   /// The fixpoint/closure engine shared with the tree executor,
   /// constructed on the first member site.
   RegionRelationEngine& Relations();
-  /// Engine callback: binds the leaf's slots and runs its proc.
-  bool EvalOpaqueLeaf(const PlanNode& leaf, const std::vector<size_t>& values,
-                      const RegionRelation* stage,
-                      size_t stage_version) override;
+  /// Engine callback: runs the leaf's proc under the slots the engine
+  /// bound.
+  bool EvalOpaqueLeaf(const PlanNode& leaf) override;
 
   void PushOpFrame(const PlanNode& node);
   void CloseOpFrame();
@@ -100,16 +93,14 @@ class BytecodeVm : private RegionLeafEvaluator {
   std::vector<uint8_t> bregs_;
   std::vector<size_t> iregs_;
 
-  // Flat slot environments (lowering resolves names to slots).
-  std::vector<size_t> renv_;
-  std::vector<SetBinding> senv_;
+  // The planner's slot environment and the memo, both shared in kind with
+  // the tree executor (plan/slot_env.h).
+  SlotEnv env_;
+  PlanMemo memo_;
 
   std::vector<OpFrame> op_stack_;
   std::vector<ProfileFrame> profile_stack_;
 
-  // Memo caches, keyed by node identity like the tree executor's.
-  std::map<const PlanNode*, std::map<Tuple, DnfFormula>> memo_;
-  std::map<const PlanNode*, std::map<Tuple, bool>> bool_memo_;
   std::map<const PlanNode*, uint32_t> leaf_index_;  ///< into leaf_sites
   std::unique_ptr<RegionRelationEngine> relations_;
 };

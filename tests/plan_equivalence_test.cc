@@ -45,13 +45,13 @@ ConstraintDatabase Load(const std::string& name) {
 }
 
 /// `stages`, when given, receives the evaluation's fixpoint_iterations.
-/// `traffic`, when given, receives the evaluation's kernel counters, taken
-/// on a fresh kernel with the ambient kernel's options so that no earlier
-/// run's cached verdicts count.
+/// `traffic`, when given, receives the evaluation's stats, taken on a fresh
+/// kernel with the ambient kernel's options so that no earlier run's
+/// cached verdicts count in its kernel counters.
 std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
                       bool use_plan, bool optimize,
                       bool use_bytecode = false, size_t* stages = nullptr,
-                      KernelStats* traffic = nullptr) {
+                      Evaluator::Stats* traffic = nullptr) {
   Evaluator::Options options;
   options.use_plan = use_plan;
   options.optimize = optimize;
@@ -66,7 +66,7 @@ std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
   auto answer = evaluator.Evaluate(query);
   EXPECT_TRUE(answer.ok()) << answer.status().ToString();
   if (stages != nullptr) *stages = evaluator.stats().fixpoint_iterations;
-  if (traffic != nullptr) *traffic = evaluator.stats().kernel;
+  if (traffic != nullptr) *traffic = evaluator.stats();
   if (!answer.ok()) return "<error>";
   return answer->ToString();
 }
@@ -74,8 +74,11 @@ std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
 /// The tree walk and the VM ask the kernel the same questions: the lemma
 /// database is the only cache of kernel verdicts, so even the hit/miss
 /// split is equal.
-void ExpectSameKernelTraffic(const KernelStats& tree, const KernelStats& vm,
+void ExpectSameKernelTraffic(const Evaluator::Stats& tree_stats,
+                             const Evaluator::Stats& vm_stats,
                              const std::string& text) {
+  const KernelStats& tree = tree_stats.kernel;
+  const KernelStats& vm = vm_stats.kernel;
   EXPECT_EQ(tree.feasibility_queries, vm.feasibility_queries) << text;
   EXPECT_EQ(tree.implication_queries, vm.implication_queries) << text;
   EXPECT_EQ(tree.oracle_calls, vm.oracle_calls) << text;
@@ -103,7 +106,7 @@ void ExpectAllModesAgree(const RegionExtension& ext, const std::string& text,
         << "raw plan diverges on: " << text;
     EXPECT_EQ(legacy_stages, stages) << "raw plan stages differ on: " << text;
   }
-  KernelStats tree_traffic, vm_traffic;
+  Evaluator::Stats tree_traffic, vm_traffic;
   EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, false, &stages,
                               &tree_traffic))
       << "optimized plan diverges on: " << text;
@@ -114,6 +117,13 @@ void ExpectAllModesAgree(const RegionExtension& ext, const std::string& text,
       << "bytecode VM diverges on: " << text;
   EXPECT_EQ(legacy_stages, stages) << "bytecode VM stages differ on: " << text;
   ExpectSameKernelTraffic(tree_traffic, vm_traffic, text);
+  // Both backends enter the same nodes and share one memo (plan/slot_env.h),
+  // so they evaluate, and hit the memo on, exactly the same nodes.
+  EXPECT_EQ(tree_traffic.node_evaluations, vm_traffic.node_evaluations)
+      << text;
+  EXPECT_EQ(tree_traffic.bool_evaluations, vm_traffic.bool_evaluations)
+      << text;
+  EXPECT_EQ(tree_traffic.memo_hits, vm_traffic.memo_hits) << text;
   {
     // Traced VM run: span emission sits on the dispatch hot path, so it is
     // swept too — tracing must be observation only.
@@ -270,7 +280,7 @@ TEST(PlanEquivalenceTest, KernelBackendSweep) {
         SCOPED_TRACE(backend.name);
         ConstraintKernel kernel(backend.options);
         ScopedKernel scope(kernel);
-        KernelStats tree_traffic, vm_traffic;
+        Evaluator::Stats tree_traffic, vm_traffic;
         const std::string tree = AnswerVia(*ext, **query, true, true, false,
                                            nullptr, &tree_traffic);
         const std::string vm = AnswerVia(*ext, **query, true, true, true,

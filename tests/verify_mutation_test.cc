@@ -292,77 +292,19 @@ std::vector<BytecodeMutation> BytecodeMutations() {
          in.op = VmOp::kEnterBool;
        },
        {"bracket", "register out of range", "undefined"}});
-  // Corrupt side-table indices.
-  ops.push_back(
-      {"memo-desc-out-of-range",
-       [](const BytecodeProgram&, const VmProc&, size_t, const VmInstr& in) {
-         switch (in.op) {
-           case VmOp::kEnterSym:
-           case VmOp::kEnterBool:
-           case VmOp::kLeaveSym:
-           case VmOp::kLeaveBool:
-             return in.imm != 0;
-           default:
-             return false;
-         }
-       },
-       [](const BytecodeProgram& program, const VmProc&, VmInstr& in) {
-         in.imm = static_cast<uint32_t>(program.memo_descs.size()) + 5;
-       },
-       {"memo descriptor id out of range"}});
-  ops.push_back(
-      {"region-slot-out-of-range",
-       [](const BytecodeProgram&, const VmProc&, size_t, const VmInstr& in) {
-         return in.op == VmOp::kInRegion || in.op == VmOp::kRegionAtom ||
-                in.op == VmOp::kSetRegion;
-       },
-       [](const BytecodeProgram& program, const VmProc&, VmInstr& in) {
-         const uint32_t bad =
-             static_cast<uint32_t>(program.region_slot_names.size()) + 2;
-         if (in.op == VmOp::kSetRegion) {
-           in.a = bad;
-         } else {
-           in.b = bad;
-         }
-       },
-       {"region slot out of range"}});
-  ops.push_back(
-      {"set-slot-out-of-range",
-       [](const BytecodeProgram&, const VmProc&, size_t, const VmInstr& in) {
-         return in.op == VmOp::kSetMember;
-       },
-       [](const BytecodeProgram& program, const VmProc&, VmInstr& in) {
-         in.b = static_cast<uint32_t>(program.set_slot_names.size()) + 2;
-       },
-       {"set slot out of range"}});
-  ops.push_back(
-      {"slot-list-out-of-range",
-       [](const BytecodeProgram&, const VmProc&, size_t, const VmInstr& in) {
-         return in.op == VmOp::kSetMember;
-       },
-       [](const BytecodeProgram& program, const VmProc&, VmInstr& in) {
-         in.imm = static_cast<uint32_t>(program.slot_lists.size()) + 2;
-       },
-       {"slot-list id out of range"}});
+  // Corrupt side-table indices. (Region and set slots are not bytecode
+  // operands: the plan mutations below corrupt them where they live.)
   ops.push_back(
       {"site-id-out-of-range",
        [](const BytecodeProgram&, const VmProc&, size_t, const VmInstr& in) {
          return in.op == VmOp::kFixpointMember ||
-                in.op == VmOp::kClosureMember || in.op == VmOp::kRbitFinish;
+                in.op == VmOp::kClosureMember;
        },
        [](const BytecodeProgram& program, const VmProc&, VmInstr& in) {
-         switch (in.op) {
-           case VmOp::kFixpointMember:
-             in.imm =
-                 static_cast<uint32_t>(program.fixpoint_sites.size()) + 1;
-             break;
-           case VmOp::kClosureMember:
-             in.imm = static_cast<uint32_t>(program.closure_sites.size()) + 1;
-             break;
-           default:
-             in.imm = static_cast<uint32_t>(program.rbit_sites.size()) + 1;
-             break;
-         }
+         in.imm = static_cast<uint32_t>(in.op == VmOp::kFixpointMember
+                                            ? program.fixpoint_sites.size()
+                                            : program.closure_sites.size()) +
+                  1;
        },
        {"site id out of range"}});
   ops.push_back(
@@ -535,10 +477,16 @@ size_t MutateBytecode(BytecodeProgram& program, const std::string& label,
 struct PlanMutation {
   const char* name;
   std::function<bool(const PlanNode&)> eligible;
-  /// Mutates the node and returns the undo closure.
-  std::function<std::function<void()>(PlanNode&)> apply;
+  /// Mutates the node of `plan` and returns the undo closure.
+  std::function<std::function<void()>(const CompiledPlan& plan, PlanNode&)>
+      apply;
   std::vector<std::string> expected;
 };
+
+bool BindsRegion(const PlanNode& n) {
+  return n.op == PlanOp::kExpandExists || n.op == PlanOp::kExpandForall ||
+         n.op == PlanOp::kAnyRegion || n.op == PlanOp::kAllRegion;
+}
 
 std::vector<PlanMutation> PlanMutations() {
   std::vector<PlanMutation> ops;
@@ -546,7 +494,8 @@ std::vector<PlanMutation> PlanMutations() {
   // keys silently at runtime).
   ops.push_back({"clear-free-region",
                  [](const PlanNode& n) { return !n.free_region.empty(); },
-                 [](PlanNode& n) -> std::function<void()> {
+                 [](const CompiledPlan&,
+                    PlanNode& n) -> std::function<void()> {
                    auto saved = n.free_region;
                    n.free_region.clear();
                    return [&n, saved] { n.free_region = saved; };
@@ -554,7 +503,8 @@ std::vector<PlanMutation> PlanMutations() {
                  {"annotation mismatch"}});
   ops.push_back({"bump-est-fanout",
                  [](const PlanNode&) { return true; },
-                 [](PlanNode& n) -> std::function<void()> {
+                 [](const CompiledPlan&,
+                    PlanNode& n) -> std::function<void()> {
                    const size_t saved = n.est_fanout;
                    n.est_fanout = saved + 17;
                    return [&n, saved] { n.est_fanout = saved; };
@@ -567,32 +517,53 @@ std::vector<PlanMutation> PlanMutations() {
                            n.op == PlanOp::kConstBool) &&
                           n.cache == CachePolicy::kNone;
                  },
-                 [](PlanNode& n) -> std::function<void()> {
+                 [](const CompiledPlan&,
+                    PlanNode& n) -> std::function<void()> {
                    n.cache = CachePolicy::kByRegionKey;
                    return [&n] { n.cache = CachePolicy::kNone; };
                  },
                  {"cache key ill-formed"}});
-  // Missing binder on a region quantifier.
-  ops.push_back({"clear-region-binder",
-                 [](const PlanNode& n) {
-                   return n.op == PlanOp::kExpandExists ||
-                          n.op == PlanOp::kExpandForall ||
-                          n.op == PlanOp::kAnyRegion ||
-                          n.op == PlanOp::kAllRegion;
-                 },
-                 [](PlanNode& n) -> std::function<void()> {
-                   auto saved = n.region_var;
-                   n.region_var.clear();
+  // Slots past the plan's name tables: the executors index their flat slot
+  // environments with these unchecked, so VerifyPlan must catch them.
+  ops.push_back({"region-binder-out-of-range", BindsRegion,
+                 [](const CompiledPlan& plan,
+                    PlanNode& n) -> std::function<void()> {
+                   const uint32_t saved = n.region_var;
+                   n.region_var =
+                       static_cast<uint32_t>(plan.region_names.size()) + 2;
                    return [&n, saved] { n.region_var = saved; };
                  },
-                 {"missing binder"}});
+                 {"region slot out of range"}});
+  ops.push_back({"region-arg-out-of-range",
+                 [](const PlanNode& n) { return !n.region_args.empty(); },
+                 [](const CompiledPlan& plan,
+                    PlanNode& n) -> std::function<void()> {
+                   const uint32_t saved = n.region_args[0];
+                   n.region_args[0] =
+                       static_cast<uint32_t>(plan.region_names.size()) + 2;
+                   return [&n, saved] { n.region_args[0] = saved; };
+                 },
+                 {"region slot out of range"}});
+  ops.push_back({"set-slot-out-of-range",
+                 [](const PlanNode& n) {
+                   return n.op == PlanOp::kSetMember ||
+                          n.op == PlanOp::kFixpointMember;
+                 },
+                 [](const CompiledPlan& plan,
+                    PlanNode& n) -> std::function<void()> {
+                   const uint32_t saved = n.set_var;
+                   n.set_var = static_cast<uint32_t>(plan.set_names.size()) + 2;
+                   return [&n, saved] { n.set_var = saved; };
+                 },
+                 {"set slot out of range"}});
   // Mode confusion: swap a symbolic connective for its boolean twin, so
   // its (symbolic) children no longer match the operator's mode.
   ops.push_back({"retype-connective",
                  [](const PlanNode& n) {
                    return n.op == PlanOp::kAndSym || n.op == PlanOp::kOrSym;
                  },
-                 [](PlanNode& n) -> std::function<void()> {
+                 [](const CompiledPlan&,
+                    PlanNode& n) -> std::function<void()> {
                    const PlanOp saved = n.op;
                    n.op = saved == PlanOp::kAndSym ? PlanOp::kAndBool
                                                    : PlanOp::kOrBool;
@@ -624,7 +595,7 @@ size_t MutatePlan(CompiledPlan& plan, const std::string& label,
       if (mutation.eligible(*node)) sites.push_back(node);
     }
     for (PlanNode* node : Sample(std::move(sites), rng)) {
-      std::function<void()> undo = mutation.apply(*node);
+      std::function<void()> undo = mutation.apply(plan, *node);
       Status verdict = VerifyPlan(plan, "mutation");
       EXPECT_FALSE(verdict.ok())
           << label << ": plan mutant survived operator " << mutation.name

@@ -97,9 +97,15 @@ TEST(PlanVerifyTest, AcceptsRegionConnectivityPlan) {
 // Plan verifier: one hand-built violation per invariant class. Every
 // rejection is a clean LCDB012 kInternal naming the context and sub-reason.
 
-void ExpectPlanRejected(const PlanNode& root, const std::string& substring,
-                        size_t num_columns = 1, size_t num_regions = 3) {
-  Status s = VerifyPlan(root, num_columns, num_regions, "unit");
+/// Verifies `root` as a plan over one element column, three regions and a
+/// single region variable R (slot 0).
+void ExpectPlanRejected(PlanPtr root, const std::string& substring) {
+  CompiledPlan plan;
+  plan.root = std::move(root);
+  plan.num_columns = 1;
+  plan.num_regions = 3;
+  plan.region_names = {"R"};
+  Status s = VerifyPlan(plan, "unit");
   ASSERT_FALSE(s.ok()) << "expected rejection containing '" << substring
                        << "'";
   EXPECT_EQ(s.code(), StatusCode::kInternal);
@@ -110,13 +116,13 @@ void ExpectPlanRejected(const PlanNode& root, const std::string& substring,
 
 TEST(PlanVerifyTest, RejectsWrongArity) {
   PlanPtr root = Node(PlanOp::kNegateSym);  // needs exactly one child
-  ExpectPlanRejected(*root, "operator arity");
+  ExpectPlanRejected(root, "operator arity");
 }
 
 TEST(PlanVerifyTest, RejectsNullChild) {
   PlanPtr root = Node(PlanOp::kNegateSym);
   root->children.push_back(nullptr);
-  ExpectPlanRejected(*root, "null child");
+  ExpectPlanRejected(root, "null child");
 }
 
 TEST(PlanVerifyTest, RejectsModeConfusion) {
@@ -129,7 +135,7 @@ TEST(PlanVerifyTest, RejectsModeConfusion) {
   DeriveAnnotations(boolean.get(), 3);
   PlanPtr root = Node(PlanOp::kAndSym);
   root->children = {sym, boolean};
-  ExpectPlanRejected(*root, "mode confusion");
+  ExpectPlanRejected(root, "mode confusion");
 }
 
 TEST(PlanVerifyTest, RejectsCycle) {
@@ -137,14 +143,14 @@ TEST(PlanVerifyTest, RejectsCycle) {
   PlanPtr b = Node(PlanOp::kNegateSym);
   a->children.push_back(b);
   b->children.push_back(a);  // cycle: the executor's walk would not return
-  ExpectPlanRejected(*a, "cycle");
+  ExpectPlanRejected(a, "cycle");
   // Break it so the shared_ptr loop does not leak.
   b->children.clear();
 }
 
 TEST(PlanVerifyTest, RejectsMissingPayload) {
   PlanPtr root = Node(PlanOp::kConstFormula);  // no formula attached
-  ExpectPlanRejected(*root, "missing payload");
+  ExpectPlanRejected(root, "missing payload");
 }
 
 TEST(PlanVerifyTest, RejectsColumnOutOfRange) {
@@ -154,30 +160,57 @@ TEST(PlanVerifyTest, RejectsColumnOutOfRange) {
   PlanPtr root = Node(PlanOp::kExistsElim);
   root->column = 7;  // plan has 1 column
   root->children.push_back(child);
-  ExpectPlanRejected(*root, "column out of range");
+  ExpectPlanRejected(root, "column out of range");
 }
 
 TEST(PlanVerifyTest, RejectsStaleAnnotations) {
   PlanPtr root = Node(PlanOp::kInRegion);
-  root->region_args = {"R"};
+  root->region_args = {0};  // R
   DeriveAnnotations(root.get(), 3);
   ASSERT_FALSE(root->free_region.empty());
   root->free_region.clear();  // stale: would silently corrupt memo keys
-  ExpectPlanRejected(*root, "annotation mismatch");
+  ExpectPlanRejected(root, "annotation mismatch");
 }
 
 TEST(PlanVerifyTest, RejectsCacheMarkedConstant) {
   PlanPtr root = Node(PlanOp::kConstBool);
   DeriveAnnotations(root.get(), 3);
   root->cache = CachePolicy::kByRegionKey;
-  ExpectPlanRejected(*root, "cache key ill-formed");
+  ExpectPlanRejected(root, "cache key ill-formed");
 }
 
 TEST(PlanVerifyTest, RejectsUnclosedRoot) {
   PlanPtr root = Node(PlanOp::kInRegion);
-  root->region_args = {"R"};
+  root->region_args = {0};  // R
   DeriveAnnotations(root.get(), 3);
-  ExpectPlanRejected(*root, "plan not closed");
+  ExpectPlanRejected(root, "plan not closed: free region variables remain "
+                           "at root ({R})");
+}
+
+TEST(PlanVerifyTest, RejectsSlotOutOfRange) {
+  // Slots index the executors' flat environments unchecked, so a slot past
+  // the plan's name tables must never reach them.
+  PlanPtr atom = Node(PlanOp::kRegionAtom);
+  atom->source_kind = NodeKind::kBoundedAtom;
+  atom->region_args = {4};  // the plan has one region variable
+  DeriveAnnotations(atom.get(), 3);
+  PlanPtr loop = Node(PlanOp::kAnyRegion);
+  loop->region_var = 4;
+  loop->children.push_back(atom);
+  DeriveAnnotations(loop.get(), 3);
+  ExpectPlanRejected(loop, "region slot out of range: region_atom uses slot 4 "
+                           "of 1");
+
+  PlanPtr member = Node(PlanOp::kSetMember);
+  member->set_var = 0;  // the plan has no set variables
+  member->region_args = {0};
+  DeriveAnnotations(member.get(), 3);
+  PlanPtr bind = Node(PlanOp::kAnyRegion);
+  bind->region_var = 0;
+  bind->children.push_back(member);
+  DeriveAnnotations(bind.get(), 3);
+  ExpectPlanRejected(bind,
+                     "set slot out of range: set_member uses slot 0 of 0");
 }
 
 // ---------------------------------------------------------------------------

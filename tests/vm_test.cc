@@ -59,8 +59,9 @@ Evaluator::Options VmOptions() {
 }
 
 TEST(VmTest, DisassemblerGolden) {
-  // A query touching both modes (symbolic QE + boolean region loop) and a
-  // memo-marked subplan, pinned byte-for-byte. If lowering legitimately
+  // A query touching both modes (symbolic QE + boolean region loop) and
+  // memo-marked subplans (each Enter lists its memo key), pinned
+  // byte-for-byte. If lowering legitimately
   // changes, update the golden — the point is that it cannot drift
   // unnoticed.
   ConstraintDatabase db = IntervalsDb();
@@ -72,13 +73,13 @@ TEST(VmTest, DisassemblerGolden) {
   EXPECT_EQ(
       DisassembleBytecode(program),
       "proc 0 (main): sym sregs=4 bregs=1 iregs=1\n"
-      "  0000  enter.sym     s0 #0 expand.exists memo=m0 skip->0029\n"
+      "  0000  enter.sym     s0 #0 expand.exists memo={} skip->0029\n"
       "  0001  begin.op      expand.exists [timed,expand]\n"
       "  0002  load.false    s0\n"
       "  0003  load.imm      i0 0\n"
       "  0004  loop.head     i0 exit->0027 stride=0\n"
       "  0005  set_region    R = i0\n"
-      "  0006  enter.sym     s1 #1 and.sym memo=m1 skip->0024\n"
+      "  0006  enter.sym     s1 #1 and.sym memo={R} skip->0024\n"
       "  0007  enter.sym     s1 #2 lift_bool\n"
       "  0008  enter.bool    b0 #3 region_atom\n"
       "  0009  region_atom   b0 R\n"
@@ -86,25 +87,22 @@ TEST(VmTest, DisassemblerGolden) {
       "  0011  lift_bool     s1 b0\n"
       "  0012  leave.sym     s1\n"
       "  0013  jmp.sym_false s1 ->0023\n"
-      "  0014  enter.sym     s2 #4 qe.exists memo=m2 skip->0022\n"
+      "  0014  enter.sym     s2 #4 qe.exists memo={} skip->0022\n"
       "  0015  begin.op      qe.exists [timed,qe]\n"
       "  0016  enter.sym     s3 #5 const.formula\n"
       "  0017  const.formula s3 {(-x0 < 0 & x0 < 1 & -x0 <= 0)...}\n"
       "  0018  leave.sym     s3\n"
       "  0019  qe.exists     s2 s3 col0\n"
       "  0020  end.op        qe.exists\n"
-      "  0021  leave.sym     s2 memo=m2\n"
+      "  0021  leave.sym     s2 memo\n"
       "  0022  and.sym       s1 s2\n"
-      "  0023  leave.sym     s1 memo=m1\n"
+      "  0023  leave.sym     s1 memo\n"
       "  0024  or.sym        s0 s1\n"
       "  0025  jmp.sym_true  s0 ->0027\n"
       "  0026  loop.next     i0 ->0004\n"
       "  0027  end.op        expand.exists\n"
-      "  0028  leave.sym     s0 memo=m0\n"
+      "  0028  leave.sym     s0 memo\n"
       "  0029  halt          \n"
-      "memo m0: regions={}\n"
-      "memo m1: regions={R}\n"
-      "memo m2: regions={}\n"
       "-- 1 proc(s), 30 instruction(s)\n");
 }
 
@@ -139,7 +137,7 @@ TEST(VmTest, OpaqueFixpointLeavesLowerToProcs) {
   auto ext = MakeArrangementExtension(db);
   BytecodeProgram program = Compile(*ext, RiverPollutionQueryText());
   ASSERT_EQ(program.fixpoint_sites.size(), 1u);
-  const VmFixpointSite& site = program.fixpoint_sites[0];
+  const VmMemberSite& site = program.fixpoint_sites[0];
   ASSERT_FALSE(site.leaves.empty());
   EXPECT_EQ(program.leaf_sites.size(), site.leaves.size());
   for (uint32_t leaf : site.leaves) {
@@ -147,7 +145,6 @@ TEST(VmTest, OpaqueFixpointLeavesLowerToProcs) {
     ASSERT_LT(leaf_site.proc, program.procs.size());
     EXPECT_FALSE(program.procs[leaf_site.proc].symbolic);
     EXPECT_EQ(leaf_site.node->op, PlanOp::kNonEmpty);
-    EXPECT_EQ(leaf_site.region_slots.size(), leaf_site.node->free_region.size());
   }
   EXPECT_GE(program.procs.size(), 1 + site.leaves.size());
   EXPECT_TRUE(VerifyBytecode(program).status.ok());
@@ -307,6 +304,34 @@ TEST(VmTest, ExplainBytecodeMatchesDirectDisassembly) {
   auto rejected = rejecting.ExplainBytecode(**query);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(VmTest, ExplainBytecodeLeavesItsOwnPlanCost) {
+  // Explain and ExplainBytecode compile through one pipeline: the listing
+  // of query B leaves B's tier-2 cost in stats, never the cost of the
+  // query evaluated before it.
+  ConstraintDatabase db = MakeComb(2, true);
+  auto ext = MakeArrangementExtension(db);
+  auto a = ParseQuery(RegionConnQueryText(), db.relation_name());
+  auto b = ParseQuery("exists R . (subset(R) & !(bounded(R)))",
+                      db.relation_name());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  Evaluator explained(*ext);
+  ASSERT_TRUE(explained.Explain(**b).ok());
+  const PlanCostStats want = explained.stats().plan_cost;
+  ASSERT_GT(want.nodes, 0u);
+
+  Evaluator evaluator(*ext);
+  ASSERT_TRUE(evaluator.Evaluate(**a).ok());
+  ASSERT_NE(evaluator.stats().plan_cost.nodes, want.nodes);
+  ASSERT_TRUE(evaluator.ExplainBytecode(**b).ok());
+  const PlanCostStats& got = evaluator.stats().plan_cost;
+  EXPECT_EQ(got.nodes, want.nodes);
+  EXPECT_EQ(got.total_bigint_ops, want.total_bigint_ops);
+  EXPECT_EQ(got.est_answer_rows, want.est_answer_rows);
+  EXPECT_EQ(got.dead_caches, want.dead_caches);
+  EXPECT_EQ(got.warnings, want.warnings);
 }
 
 TEST(VmTest, PlanCostStatsExported) {
