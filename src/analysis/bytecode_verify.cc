@@ -1,9 +1,7 @@
 #include "analysis/bytecode_verify.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,8 +10,6 @@
 namespace lcdb {
 
 namespace {
-
-constexpr int64_t kUnbounded = std::numeric_limits<int64_t>::max();
 
 Status Fail(const std::string& reason) {
   return Status::Internal("LCDB012: bytecode verification failed: " + reason);
@@ -33,12 +29,6 @@ Status FailAt(size_t proc, size_t pc, const VmInstr& in,
 enum class Tri : uint8_t { kUnknown, kFalse, kTrue };
 
 Tri JoinTri(Tri a, Tri b) { return a == b ? a : Tri::kUnknown; }
-
-/// Loop-counter interval, clamped by the kLoopHead guard.
-struct Interval {
-  int64_t lo = 0;
-  int64_t hi = kUnbounded;
-};
 
 /// One open Enter bracket: the Leave that closes it must match mode,
 /// destination register and plan node (the node's memo key).
@@ -60,9 +50,7 @@ bool Memoized(const VmInstr& in) {
 struct AbsState {
   std::vector<uint8_t> sdef, bdef, idef;  // defined-before-use bits
   std::vector<Tri> sval, bval;            // constants for edge pruning
-  std::vector<Interval> ival;             // i-register intervals
   std::vector<AbsFrame> brackets;         // open Enter frames
-  int op_depth = 0;                       // open timed begin.op frames
 
   static AbsState Entry(const VmProc& proc) {
     AbsState st;
@@ -71,21 +59,15 @@ struct AbsState {
     st.idef.assign(proc.num_iregs, 0);
     st.sval.assign(proc.num_sregs, Tri::kUnknown);
     st.bval.assign(proc.num_bregs, Tri::kUnknown);
-    st.ival.assign(proc.num_iregs, Interval{});
     return st;
   }
 };
 
 /// Merges `from` into `*into`. Returns false (bracket conflict) when the
-/// two paths disagree on open Enter / op frames — the VM's profile and
-/// timer stacks would diverge. Sets `*changed` when `*into` moved.
-/// `loop_head` marks a join at a kLoopHead, where growing counter bounds
-/// are widened.
-bool Join(AbsState* into, const AbsState& from, size_t num_regions,
-          bool loop_head, bool* changed) {
-  if (into->brackets != from.brackets || into->op_depth != from.op_depth) {
-    return false;
-  }
+/// two paths disagree on open Enter frames — the VM's profile and span
+/// stacks would diverge. Sets `*changed` when `*into` moved.
+bool Join(AbsState* into, const AbsState& from, bool* changed) {
+  if (into->brackets != from.brackets) return false;
   for (size_t r = 0; r < into->sdef.size(); ++r) {
     if (into->sdef[r] && !from.sdef[r]) {
       into->sdef[r] = 0;
@@ -111,25 +93,6 @@ bool Join(AbsState* into, const AbsState& from, size_t num_regions,
   for (size_t r = 0; r < into->idef.size(); ++r) {
     if (into->idef[r] && !from.idef[r]) {
       into->idef[r] = 0;
-      *changed = true;
-    }
-    Interval& iv = into->ival[r];
-    const Interval& other = from.ival[r];
-    int64_t lo = std::min(iv.lo, other.lo);
-    int64_t hi = std::max(iv.hi, other.hi);
-    // Widen once the upper bound escapes the region space — the only
-    // interesting fact is i < |Reg| — and at a loop head as soon as it
-    // grows at all: the head's body edge re-establishes i < |Reg| by
-    // clamping, while growing one step per visit would walk every loop
-    // |Reg| times (nested loops, |Reg|^2) before the bound escaped.
-    if (hi != kUnbounded &&
-        ((loop_head && hi > iv.hi) ||
-         hi > static_cast<int64_t>(num_regions) + 8)) {
-      hi = kUnbounded;
-    }
-    if (lo != iv.lo || hi != iv.hi) {
-      iv.lo = lo;
-      iv.hi = hi;
       *changed = true;
     }
   }
@@ -381,11 +344,6 @@ class ProcChecker {
       }
       case VmOp::kSetRegion:
         return all({I(pc, in.b), Node(pc)});
-      case VmOp::kBeginOp:
-        if ((in.imm & kOpTimed) != 0) return Node(pc);
-        return Status::Ok();
-      case VmOp::kEndOp:
-        return Status::Ok();
       case VmOp::kCallSym:
       case VmOp::kCallBool: {
         const bool symbolic = in.op == VmOp::kCallSym;
@@ -433,7 +391,7 @@ class ProcChecker {
 };
 
 // ---------------------------------------------------------------------------
-// Flow-sensitive dataflow (typestate + brackets + intervals) per proc.
+// Flow-sensitive dataflow (typestate + brackets) per proc.
 
 class ProcDataflow {
  public:
@@ -442,8 +400,7 @@ class ProcDataflow {
         proc_(program.procs[proc_id]),
         proc_id_(proc_id),
         states_(proc_.code.size()),
-        reachable_(proc_.code.size(), false),
-        counter_bounded_(proc_.code.size(), true) {}
+        reachable_(proc_.code.size(), false) {}
 
   Status Run() {
     Propagate(0, AbsState::Entry(proc_));
@@ -459,15 +416,6 @@ class ProcDataflow {
   }
 
   const std::vector<bool>& reachable() const { return reachable_; }
-
-  /// kSetRegion interval facts over reachable sites.
-  void CountCounters(size_t* bounded, size_t* total) const {
-    for (size_t pc = 0; pc < proc_.code.size(); ++pc) {
-      if (!reachable_[pc] || proc_.code[pc].op != VmOp::kSetRegion) continue;
-      ++*total;
-      if (counter_bounded_[pc]) ++*bounded;
-    }
-  }
 
  private:
   Status ReadS(size_t pc, const AbsState& st, uint32_t r) {
@@ -500,10 +448,7 @@ class ProcDataflow {
     st->bdef[r] = 1;
     st->bval[r] = value;
   }
-  static void WriteI(AbsState* st, uint32_t r, Interval iv) {
-    st->idef[r] = 1;
-    st->ival[r] = iv;
-  }
+  static void WriteI(AbsState* st, uint32_t r) { st->idef[r] = 1; }
 
   void Propagate(size_t target, AbsState state) {
     if (!reachable_[target]) {
@@ -513,8 +458,7 @@ class ProcDataflow {
       return;
     }
     bool changed = false;
-    if (!Join(&states_[target], state, program_.num_regions,
-              proc_.code[target].op == VmOp::kLoopHead, &changed)) {
+    if (!Join(&states_[target], state, &changed)) {
       status_ = FailAt(proc_id_, target, proc_.code[target],
                        "inconsistent memo bracket depth at join");
       return;
@@ -675,59 +619,23 @@ class ProcDataflow {
         return;
       }
       case VmOp::kLoadImm:
-        WriteI(&st, in.a,
-               Interval{static_cast<int64_t>(in.imm),
-                        static_cast<int64_t>(in.imm)});
+        WriteI(&st, in.a);
         break;
-      case VmOp::kLoopHead: {
+      case VmOp::kLoopHead:
+        // Exit edge (i >= |Reg|) and body edge (fallthrough).
         status_ = ReadI(pc, st, in.a);
         if (!status_.ok()) return;
-        const int64_t n = static_cast<int64_t>(program_.num_regions);
-        const Interval iv = st.ival[in.a];
-        // Exit edge: i >= |Reg|.
-        Interval exit_iv{std::max(iv.lo, n), iv.hi};
-        if (exit_iv.lo <= exit_iv.hi) {
-          AbsState exit_st = st;
-          exit_st.ival[in.a] = exit_iv;
-          Propagate(in.b, std::move(exit_st));
-          if (!status_.ok()) return;
-        }
-        // Fallthrough (body) edge: i < |Reg|.
-        Interval body_iv{iv.lo, std::min(iv.hi, n - 1)};
-        if (body_iv.lo <= body_iv.hi) {
-          st.ival[in.a] = body_iv;
-          Propagate(pc + 1, std::move(st));
-        }
-        return;
-      }
-      case VmOp::kLoopNext: {
+        Propagate(in.b, st);
+        if (!status_.ok()) return;
+        break;
+      case VmOp::kLoopNext:
         status_ = ReadI(pc, st, in.a);
         if (!status_.ok()) return;
-        Interval iv = st.ival[in.a];
-        if (iv.lo != kUnbounded) ++iv.lo;
-        if (iv.hi != kUnbounded) ++iv.hi;
-        st.ival[in.a] = iv;
         Propagate(in.b, std::move(st));
         return;
-      }
       case VmOp::kSetRegion:
         status_ = ReadI(pc, st, in.b);
         if (!status_.ok()) return;
-        if (st.ival[in.b].hi == kUnbounded ||
-            st.ival[in.b].hi >= static_cast<int64_t>(program_.num_regions)) {
-          counter_bounded_[pc] = false;
-        }
-        break;
-      case VmOp::kBeginOp:
-        if ((in.imm & kOpTimed) != 0) ++st.op_depth;
-        break;
-      case VmOp::kEndOp:
-        if (st.op_depth == 0) {
-          status_ = FailAt(proc_id_, pc, in,
-                           "unmatched end.op: no timed begin.op on this path");
-          return;
-        }
-        --st.op_depth;
         break;
       case VmOp::kCallSym:
         WriteS(&st, in.a);
@@ -740,11 +648,6 @@ class ProcDataflow {
         if (!st.brackets.empty()) {
           status_ = FailAt(proc_id_, pc, in,
                            "unclosed enter bracket at proc exit");
-          return;
-        }
-        if (st.op_depth != 0) {
-          status_ = FailAt(proc_id_, pc, in,
-                           "unclosed op frame at proc exit");
           return;
         }
         // Result convention: frame-local register 0 of the proc's mode.
@@ -764,7 +667,6 @@ class ProcDataflow {
   const size_t proc_id_;
   std::vector<AbsState> states_;
   std::vector<bool> reachable_;
-  std::vector<bool> counter_bounded_;
   std::deque<size_t> worklist_;
   std::unordered_set<size_t> in_worklist_;
   Status status_ = Status::Ok();
@@ -925,7 +827,6 @@ BytecodeVerifyResult VerifyBytecode(const BytecodeProgram& program) {
     ProcDataflow dataflow(program, proc);
     result.status = dataflow.Run();
     if (!result.status.ok()) return result;
-    dataflow.CountCounters(&result.counters_bounded, &result.counters_total);
     instr_reachable[proc] = dataflow.reachable();
     ++result.procs_verified;
     result.instructions_verified += program.procs[proc].code.size();

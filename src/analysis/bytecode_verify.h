@@ -12,10 +12,9 @@ namespace lcdb {
 
 /// Outcome of one bytecode verification run. Besides the pass/fail Status,
 /// the abstract interpretation leaves behind facts the tier-2 analyzer can
-/// lean on: which procs are provably unreachable from the entry proc, how
-/// many loop counters were proved inside the region bound, and which
-/// cache-marked nodes can *never* hit because every one of their memo sites
-/// sits in unreachable code.
+/// lean on: which procs are provably unreachable from the entry proc, and
+/// which cache-marked nodes can *never* hit because every one of their memo
+/// sites sits in unreachable code.
 struct BytecodeVerifyResult {
   /// Ok, or a kInternal Status whose message starts with `LCDB012:` and
   /// names the proc, pc and opcode of the first violation.
@@ -30,12 +29,6 @@ struct BytecodeVerifyResult {
   /// source inside the loop body.
   size_t loops_verified = 0;
   size_t unreachable_procs = 0;
-  /// kSetRegion sites whose `i` register the interval dataflow proved
-  /// within [0, |Reg|) on every reaching path, over the total number of
-  /// reachable kSetRegion sites. When bounded == total, the tier-2 LCDB004
-  /// tuple-space estimate's |Reg|^k base is a *verified* upper bound.
-  size_t counters_bounded = 0;
-  size_t counters_total = 0;
   /// Cache-marked plan nodes all of whose memo Enter sites are in
   /// unreachable code — the LCDB011 "can never hit" verdict upgraded from
   /// heuristic to proved.
@@ -53,14 +46,13 @@ struct BytecodeVerifyResult {
 ///    (analysis/plan_verify.h) bounds-checks.
 ///  * **Typestate dataflow** — forward abstract interpretation with a
 ///    worklist: registers are defined before use on all paths (bit-vector
-///    states, intersection at joins), conditional jumps on constant-loaded
-///    registers prune provably dead edges, and `i` registers carry
-///    intervals clamped by the `loop.head` guard.
+///    states, intersection at joins), and conditional jumps on
+///    constant-loaded registers prune provably dead edges.
 ///  * **Memo-bracket balance** — Enter pushes an abstract frame (mode,
 ///    register, plan node), Leave pops a matching one, the memo-hit skip
 ///    edge carries the pre-Enter stack; stacks must agree at joins and be
-///    empty at ret/halt. Timed begin.op / end.op frames balance the same
-///    way.
+///    empty at ret/halt. The VM's operator spans open and close at the
+///    same Enter / Leave, so they balance with the brackets.
 ///  * **Control discipline** — every backward jump is a kLoopNext
 ///    targeting its kLoopHead (same counter register), every such cycle
 ///    contains a governor checkpoint source (nonzero head stride, or an

@@ -268,8 +268,9 @@ class CostAnalyzer {
         Diagnostic d;
         d.code = "LCDB011";
         d.severity = DiagSeverity::kWarning;
-        d.message = "cache-marked subplan '" + PlanOpName(node->op) +
-                    "' can never hit: ~" + Approx(report_.costs.at(node).est_calls) +
+        d.message = std::string("cache-marked subplan '") +
+                    PlanOpName(node->op) + "' can never hit: ~" +
+                    Approx(report_.costs.at(node).est_calls) +
                     " estimated evaluation(s) over a memo key space of ~" +
                     Approx(KeySpace(*node));
         d.fix =

@@ -299,7 +299,7 @@ Status VerifyNode(const PlanNode* node, const CompiledPlan& plan,
   auto [it, inserted] = colour->emplace(node, false);
   if (!inserted) {
     if (!it->second) {
-      return Fail(context, "plan DAG contains a cycle through " +
+      return Fail(context, std::string("plan DAG contains a cycle through ") +
                                PlanOpName(node->op));
     }
     return Status::Ok();  // shared node, already verified
@@ -310,8 +310,9 @@ Status VerifyNode(const PlanNode* node, const CompiledPlan& plan,
     return Fail(context, "unknown plan operator");
   }
   if (node->children.size() != shape.arity) {
-    return Fail(context, "operator arity: " + PlanOpName(node->op) +
-                             " expects " + std::to_string(shape.arity) +
+    return Fail(context, std::string("operator arity: ") +
+                             PlanOpName(node->op) + " expects " +
+                             std::to_string(shape.arity) +
                              " children, has " +
                              std::to_string(node->children.size()));
   }

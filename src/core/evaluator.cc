@@ -132,11 +132,16 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   if (options_.use_bytecode && !options_.optimize) {
     return BytecodeNeedsOptimizer();
   }
-  // Flight-recorder instrumentation (engine/obslog.h): per-phase clocks are
-  // read only when a recorder is installed, so the uninstrumented path
-  // keeps the one-relaxed-load contract of the tracer/failpoint sites.
+  // Flight-recorder instrumentation (engine/obslog.h): the phase columns
+  // are sinks on the phase spans, passed only when a recorder is installed,
+  // so the uninstrumented path keeps the one-relaxed-load contract of the
+  // tracer/failpoint sites. The total keeps its own bracket: the record is
+  // appended before the evaluate span closes.
   QueryFlightRecorder* recorder = ActiveFlightRecorderOrNull();
   QueryRecord record;
+  auto phase = [&](uint64_t& column) {
+    return recorder != nullptr ? &column : nullptr;
+  };
   const uint64_t record_start_ns = recorder != nullptr ? ObsNowNs() : 0;
   QueryTracer* ambient_tracer = ActiveTracerOrNull();
   const uint64_t tracer_dropped_before =
@@ -159,14 +164,10 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
     recorder->Append(std::move(record));
   };
   TraceSpan evaluate_span("evaluate");
-  const uint64_t typecheck_start_ns = recorder != nullptr ? ObsNowNs() : 0;
   Result<TypeInfo> checked = [&] {
-    TraceSpan typecheck_span("typecheck");
+    TraceSpan typecheck_span("typecheck", phase(record.typecheck_ns));
     return TypeCheck(query, ext_.database());
   }();
-  if (recorder != nullptr) {
-    record.typecheck_ns = ObsNowNs() - typecheck_start_ns;
-  }
   if (!checked.ok()) {
     append_early_failure(checked.status());
     return checked.status();
@@ -180,14 +181,11 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   }
   info_ = &info;
   num_columns_ = info.all_element_vars.size();
-  // Per-query caches depend on node identity; clear between queries. The
-  // per-operator timings are per-query too: without the reset repeated
-  // Evaluate calls silently accumulate into one blurred total.
+  // Per-query caches depend on node identity; clear between queries.
   memo_.clear();
   bool_memo_.clear();
   fixpoint_cache_.clear();
   closure_cache_.clear();
-  stats_.op_timings.clear();
   stats_.vm = VmStats();
   stats_.verify = VerifyStats();
   stats_.plan_cost = PlanCostStats();
@@ -284,27 +282,26 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
     // every truth it establishes is memoized for the optimizer's folding
     // pass downstream. Hard diagnostics turn into a clean rejection before
     // any plan is built.
+    Status rejected = Status::Ok();
     {
-      TraceSpan analyze_span("analyze");
-      const uint64_t analyze_start_ns =
-          recorder != nullptr ? ObsNowNs() : 0;
+      TraceSpan analyze_span("analyze", phase(record.analyze_ns));
       AnalyzerOptions analyzer_options;
       analyzer_options.num_regions = ext_.num_regions();
       analyzer_options.max_tuple_space = options_.max_tuple_space;
       AnalysisResult analysis = AnalyzeQuery(query, info, analyzer_options);
       stats_.analysis = analysis.stats;
-      if (recorder != nullptr) {
-        record.analyze_ns = ObsNowNs() - analyze_start_ns;
-      }
       if (!analysis.diagnostics.empty()) {
         analyze_span.Counter("diagnostics", analysis.diagnostics.size());
       }
       if (analysis.has_errors()) {
         settle();
-        Status rejected = AnalysisErrorStatus(analysis, source_);
-        finish_record(rejected);
-        return rejected;
+        rejected = AnalysisErrorStatus(analysis, source_);
       }
+    }
+    // Recorded once the analyze span has closed into its phase column.
+    if (!rejected.ok()) {
+      finish_record(rejected);
+      return rejected;
     }
     // EXPLAIN ANALYZE's profile keys are plan nodes, so a plan_out request
     // forces the plan pipeline even under use_plan=false; the bytecode VM
@@ -312,16 +309,9 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
     if (options_.use_plan || plan_out != nullptr || options_.use_bytecode) {
       CompiledPlan plan;
       PlanCostReport cost;
-      uint64_t build_ns = 0;
-      const uint64_t compile_start_ns = recorder != nullptr ? ObsNowNs() : 0;
-      const Status verified =
-          CompilePlan(query, info, &plan, &cost, &build_ns);
-      if (recorder != nullptr) {
-        // The optimize phase covers the pass pipeline, the tier-2 cost pass
-        // and verification.
-        record.plan_build_ns = build_ns;
-        record.plan_optimize_ns = ObsNowNs() - compile_start_ns - build_ns;
-      }
+      const Status verified = CompilePlan(query, info, &plan, &cost,
+                                          recorder != nullptr ? &record
+                                                              : nullptr);
       if (!verified.ok()) {
         settle();
         finish_record(verified);
@@ -336,26 +326,17 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
       if (resume_collector.has_value()) {
         RegisterResumeSites(*plan.root, *resume_collector);
       }
-      TraceSpan execute_span("plan.execute");
-      const uint64_t execute_start_ns =
-          recorder != nullptr ? ObsNowNs() : 0;
+      TraceSpan execute_span("plan.execute", phase(record.execute_ns));
       result = ExecutePlan(plan, ext_, options_, &stats_, profile);
-      if (recorder != nullptr) {
-        record.execute_ns = ObsNowNs() - execute_start_ns;
-      }
       execute_span.Counter("rows", result.disjuncts().size());
     } else {
       if (resume_collector.has_value()) {
         RegisterResumeSites(query, *resume_collector);
       }
-      TraceSpan walk_span("legacy.walk");
-      const uint64_t walk_start_ns = recorder != nullptr ? ObsNowNs() : 0;
+      TraceSpan walk_span("legacy.walk", phase(record.execute_ns));
       RegionEnv renv;
       SetEnv senv;
       result = Eval(query, renv, senv);
-      if (recorder != nullptr) {
-        record.execute_ns = ObsNowNs() - walk_start_ns;
-      }
       walk_span.Counter("rows", result.disjuncts().size());
     }
   } catch (const QueryInterrupt& interrupt) {
@@ -416,19 +397,22 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
 
 Status Evaluator::CompilePlan(const FormulaNode& query, const TypeInfo& info,
                               CompiledPlan* plan, PlanCostReport* cost,
-                              uint64_t* build_ns) {
+                              QueryRecord* record) {
+  // The optimize phase column covers the pass pipeline, the tier-2 cost
+  // pass and verification.
+  uint64_t* build_ns = record != nullptr ? &record->plan_build_ns : nullptr;
+  uint64_t* optimize_ns =
+      record != nullptr ? &record->plan_optimize_ns : nullptr;
   {
-    TraceSpan build_span("plan.build");
-    const uint64_t build_start_ns = ObsNowNs();
+    TraceSpan build_span("plan.build", build_ns);
     *plan = BuildPlan(query, info, ext_);
-    *build_ns = ObsNowNs() - build_start_ns;
   }
   stats_.plan = PlanPassStats();
   stats_.plan_cost = PlanCostStats();
   stats_.verify = VerifyStats();
   if (options_.optimize) {
     {
-      TraceSpan optimize_span("plan.optimize");
+      TraceSpan optimize_span("plan.optimize", optimize_ns);
       OptimizePlan(plan, &stats_.plan);
       optimize_span.Counter("plan_nodes", stats_.plan.plan_nodes);
     }
@@ -436,7 +420,7 @@ Status Evaluator::CompilePlan(const FormulaNode& query, const TypeInfo& info,
     // plan.cost.* metrics family and the EXPLAIN cost column. Pure
     // plan-shape arithmetic — no kernel calls — but traced so its share of
     // compile time is visible.
-    TraceSpan cost_span("plan.cost");
+    TraceSpan cost_span("plan.cost", optimize_ns);
     PlanCostOptions cost_options;
     cost_options.max_tuple_space = options_.max_tuple_space;
     *cost = AnalyzePlanCost(*plan, cost_options);
@@ -449,7 +433,7 @@ Status Evaluator::CompilePlan(const FormulaNode& query, const TypeInfo& info,
   // violation here is an optimizer/planner bug surfacing as a clean LCDB012
   // kInternal instead of undefined executor behaviour downstream.
   if (!options_.verify) return Status::Ok();
-  TraceSpan verify_span("plan.verify");
+  TraceSpan verify_span("plan.verify", optimize_ns);
   Status verified = VerifyPlan(
       *plan, options_.optimize ? "after plan.optimize" : "after plan.build",
       &stats_.verify);
@@ -494,8 +478,7 @@ Result<std::string> Evaluator::CompileAndRender(const FormulaNode& query,
       }
       CompiledPlan plan;
       PlanCostReport cost;
-      uint64_t build_ns = 0;
-      LCDB_RETURN_IF_ERROR(CompilePlan(query, info, &plan, &cost, &build_ns));
+      LCDB_RETURN_IF_ERROR(CompilePlan(query, info, &plan, &cost, nullptr));
       return render(plan, cost);
     }();
     SettleAmbient(kernel_before);
@@ -967,7 +950,6 @@ MetricsSnapshot Evaluator::Stats::ToMetrics() const {
   registry.RegisterGovernorStats(governor);
   registry.RegisterPlanPassStats(plan);
   registry.RegisterAnalysisStats(analysis);
-  registry.RegisterOpTimings(op_timings);
   // Always registered (zeros when the tree backend ran / optimization was
   // off) so the vm.* and plan.cost.* families are schema-stable for the
   // bench harness and the CI metrics assertions.

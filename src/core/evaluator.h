@@ -25,6 +25,7 @@ namespace lcdb {
 
 struct CompiledPlan;
 struct PlanCostReport;
+struct QueryRecord;
 
 /// Answer of a (possibly non-boolean) query: a quantifier-free DNF formula
 /// over the query's free element variables — the closure property of
@@ -145,18 +146,14 @@ class Evaluator {
     /// Static-analyzer telemetry of the most recent Evaluate/Explain call
     /// (diagnostic counts by severity, guard classification work).
     AnalysisStats analysis;
-    /// Wall-clock per-operator timings of the most recent Evaluate call
-    /// (expensive operators only: QE, region expansion, hull, fixpoints,
-    /// closures, rBIT), keyed by PlanOpName. Reset at each Evaluate entry.
-    OpTimings op_timings;
     /// Bytecode-VM telemetry of the most recent Evaluate call (instruction
     /// count, program shape). All zeros when the tree backend ran; reset at
-    /// each Evaluate entry like op_timings.
+    /// each Evaluate entry.
     VmStats vm;
     /// Tier-3 static-verifier telemetry (analysis/verify_stats.h) of the
     /// most recent Evaluate call: plans/programs verified, dataflow
     /// coverage, and the proved facts the tier-2 analyzer tightens on.
-    /// Reset at each Evaluate entry like op_timings.
+    /// Reset at each Evaluate entry like vm.
     VerifyStats verify;
     /// Tier-2 cost-analyzer aggregates of the most recent compile
     /// (analysis/plan_cost.h). Zeros when optimization was off.
@@ -273,11 +270,12 @@ class Evaluator {
   /// The plan half of the compile pipeline that Evaluate, Explain and
   /// ExplainBytecode share: build, then optimize and cost (per
   /// Options::optimize), then verify (per Options::verify). Resets and
-  /// refills stats_.plan, plan_cost and verify; `*build_ns` receives the
-  /// build's wall-clock. Returns the plan verifier's verdict.
+  /// refills stats_.plan, plan_cost and verify; a non-null `record` gets
+  /// the plan_build and plan_optimize phases from the spans. Returns the
+  /// plan verifier's verdict.
   Status CompilePlan(const FormulaNode& query, const TypeInfo& info,
                      CompiledPlan* plan, PlanCostReport* cost,
-                     uint64_t* build_ns);
+                     QueryRecord* record);
 
   /// The pipeline Explain and ExplainBytecode share: typecheck, tuple-space
   /// check, the mandatory analysis and CompilePlan, inside the window whose

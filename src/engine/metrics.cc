@@ -136,16 +136,6 @@ void MetricsRegistry::RegisterVerifyStats(const VerifyStats& s) {
   Count("analysis.verify.dead_caches_proved", s.dead_caches_proved);
 }
 
-void MetricsRegistry::RegisterOpTimings(const OpTimings& timings) {
-  for (const auto& [op, timing] : timings) {
-    Count("op." + op + ".count", timing.count);
-    Count("op." + op + ".total_ns", timing.total_ns);
-    if (timing.memo_hits > 0) {
-      Count("op." + op + ".memo_hits", timing.memo_hits);
-    }
-  }
-}
-
 void MetricsRegistry::RegisterVmStats(const VmStats& s) {
   Count("vm.instructions", s.instructions);
   Gauge("vm.procs", s.procs);

@@ -63,12 +63,14 @@ struct MetricsSnapshot {
 };
 
 /// A unified, named registry over the engine's telemetry islands. The
-/// typed structs (KernelStats, GovernorStats, PlanPassStats, OpTimings,
+/// typed structs (KernelStats, GovernorStats, PlanPassStats,
 /// Evaluator::Stats' own counters) remain the zero-cost recording surface
 /// on the hot paths; this registry is the *naming* layer every exporter
 /// shares — `lcdbq --stats`, the bench harness and EXPLAIN ANALYZE all
-/// read the same `kernel.*` / `governor.*` / `evaluator.*` / `plan.*` /
-/// `op.*` families instead of hand-merging three structs each.
+/// read the same `kernel.*` / `governor.*` / `evaluator.*` / `plan.*`
+/// families instead of hand-merging three structs each. Per-operator time
+/// is not a counter here: it comes from the trace spans (`--trace`, and
+/// the profiler's `profile.op.*` histograms).
 class MetricsRegistry {
  public:
   static constexpr size_t kHistogramBuckets = 40;
@@ -86,13 +88,12 @@ class MetricsRegistry {
   void Clear();
 
   // --- Adapters from the existing telemetry structs. Each registers one
-  // family: kernel.*, governor.*, plan.*, op.<name>.{count,total_ns}. ---
+  // family: kernel.*, governor.*, plan.*, analysis.*, vm.*, plan.cost.*. ---
   void RegisterKernelStats(const KernelStats& stats);
   void RegisterGovernorStats(const GovernorStats& stats);
   void RegisterPlanPassStats(const PlanPassStats& stats);
   void RegisterAnalysisStats(const AnalysisStats& stats);
   void RegisterVerifyStats(const VerifyStats& stats);
-  void RegisterOpTimings(const OpTimings& timings);
   void RegisterVmStats(const VmStats& stats);
   void RegisterPlanCostStats(const PlanCostStats& stats);
 

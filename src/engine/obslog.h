@@ -46,15 +46,18 @@ struct QueryRecord {
   std::string backend;      ///< "vm" | "tree" | "legacy"
   uint64_t plan_fingerprint = 0;  ///< StableHash64 of the printed plan
 
-  // Per-phase wall-clock, nanoseconds. Phases mirror the tracer's span
-  // names; zero means the phase did not run (e.g. plan.* under the legacy
-  // walk, execute after an analysis rejection).
+  // Per-phase wall-clock, nanoseconds: the durations of the tracer's phase
+  // spans, filled through TraceSpan sinks (so with a tracer installed they
+  // equal the recorded spans); zero means the phase did not run (e.g.
+  // plan.* under the legacy walk, execute after an analysis rejection).
+  // A phase an interrupt cut short holds its time up to the unwind.
   uint64_t typecheck_ns = 0;
   uint64_t analyze_ns = 0;
   uint64_t plan_build_ns = 0;
-  uint64_t plan_optimize_ns = 0;  ///< optimizer passes + tier-2 cost pass
-  uint64_t execute_ns = 0;        ///< plan.execute or the legacy walk
-  uint64_t total_ns = 0;
+  /// plan.optimize + plan.cost + plan.verify
+  uint64_t plan_optimize_ns = 0;
+  uint64_t execute_ns = 0;  ///< plan.execute or legacy.walk
+  uint64_t total_ns = 0;    ///< its own bracket, around the whole call
 
   // Governor consumption of the attempt (zeros when ungoverned).
   uint64_t governor_checkpoints = 0;

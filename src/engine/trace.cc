@@ -82,7 +82,7 @@ uint64_t QueryTracer::BeginSpan(const char* name) {
   return open_.back().id;
 }
 
-void QueryTracer::EndSpan(uint64_t id) {
+uint64_t QueryTracer::EndSpan(uint64_t id) {
   // Spans close LIFO; tolerate a mismatched id by unwinding to it, so an
   // exception path that skipped inner EndSpan calls (guards handle this,
   // but belt and braces) cannot corrupt the stack.
@@ -91,6 +91,8 @@ void QueryTracer::EndSpan(uint64_t id) {
     open_.pop_back();
     const bool match = span.id == id;
     span.end_ns = NowNs();
+    const uint64_t duration_ns =
+        span.end_ns >= span.start_ns ? span.end_ns - span.start_ns : 0;
     if (completed_.size() < options_.capacity) {
       completed_.push_back(std::move(span));
     } else {
@@ -99,8 +101,9 @@ void QueryTracer::EndSpan(uint64_t id) {
       completed_head_ = (completed_head_ + 1) % completed_.size();
       ++dropped_;
     }
-    if (match) return;
+    if (match) return duration_ns;
   }
+  return 0;
 }
 
 void QueryTracer::Counter(const char* name, uint64_t value) {

@@ -2,6 +2,7 @@
 #define LCDB_ENGINE_TRACE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -51,7 +52,8 @@ class QueryTracer {
 
   /// Opens a span; returns its id. `name` is copied. Spans close LIFO.
   uint64_t BeginSpan(const char* name);
-  void EndSpan(uint64_t id);
+  /// Closes span `id` and returns its recorded duration in nanoseconds.
+  uint64_t EndSpan(uint64_t id);
   /// Attaches `name`=`value` to the innermost open span (repeat names
   /// overwrite, so loops can publish their final trip counts).
   void Counter(const char* name, uint64_t value);
@@ -126,16 +128,31 @@ inline QueryTracer* ActiveTracerOrNull() {
 }
 
 /// RAII span guard for instrumentation sites. Does nothing (beyond the
-/// atomic load) when no tracer is installed. The `name` argument is only
-/// evaluated lazily by callers that pass a literal; callers that build a
-/// name dynamically should gate on ActiveTracerOrNull() themselves.
+/// atomic load) when no tracer is installed; a null `name` opens no span.
+///
+/// The span is the one clock of a timed interval: `sink`, when given,
+/// receives the span's duration on close (added, so several spans can fill
+/// one total). With a tracer installed that is exactly the duration the
+/// tracer records; without one the guard reads the clock itself, once at
+/// each end.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) : tracer_(ActiveTracerOrNull()) {
-    if (tracer_ != nullptr) id_ = tracer_->BeginSpan(name);
+  explicit TraceSpan(const char* name, uint64_t* sink = nullptr)
+      : tracer_(name != nullptr ? ActiveTracerOrNull() : nullptr),
+        sink_(sink) {
+    if (tracer_ != nullptr) {
+      id_ = tracer_->BeginSpan(name);
+    } else if (sink_ != nullptr) {
+      start_ns_ = SteadyNowNs();
+    }
   }
   ~TraceSpan() {
-    if (tracer_ != nullptr) tracer_->EndSpan(id_);
+    if (tracer_ != nullptr) {
+      const uint64_t ns = tracer_->EndSpan(id_);
+      if (sink_ != nullptr) *sink_ += ns;
+    } else if (sink_ != nullptr) {
+      *sink_ += SteadyNowNs() - start_ns_;
+    }
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -148,8 +165,17 @@ class TraceSpan {
   bool active() const { return tracer_ != nullptr; }
 
  private:
+  static uint64_t SteadyNowNs() {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  }
+
   QueryTracer* tracer_;
-  uint64_t id_ = 0;
+  uint64_t* sink_;
+  uint64_t id_ = 0;        ///< with a tracer
+  uint64_t start_ns_ = 0;  ///< without one, when there is a sink
 };
 
 }  // namespace lcdb

@@ -46,8 +46,6 @@ const char* VmOpName(VmOp op) {
     case VmOp::kLoopHead: return "loop.head";
     case VmOp::kLoopNext: return "loop.next";
     case VmOp::kSetRegion: return "set_region";
-    case VmOp::kBeginOp: return "begin.op";
-    case VmOp::kEndOp: return "end.op";
     case VmOp::kCallSym: return "call.sym";
     case VmOp::kCallBool: return "call.bool";
     case VmOp::kRet: return "ret";
@@ -256,30 +254,25 @@ class Lowerer {
         break;
       }
       case PlanOp::kHull: {
-        Emit(VmOp::kBeginOp, 0, 0, 0, kOpTimed, &node);
         const uint32_t src = AllocS();
         LowerSym(*node.children[0], src);
         Emit(VmOp::kHullFinish, dest, src, 0, 0, &node);
         FreeS();
-        Emit(VmOp::kEndOp, 0, 0, 0, kOpTimed, &node);
         break;
       }
       case PlanOp::kExistsElim:
       case PlanOp::kForallElim: {
-        Emit(VmOp::kBeginOp, 0, 0, 0, kOpTimed | kOpCountQe, &node);
         const uint32_t src = AllocS();
         LowerSym(*node.children[0], src);
         Emit(node.op == PlanOp::kExistsElim ? VmOp::kQeExists
                                             : VmOp::kQeForall,
              dest, src, 0, 0, &node);
         FreeS();
-        Emit(VmOp::kEndOp, 0, 0, 0, kOpTimed, &node);
         break;
       }
       case PlanOp::kExpandExists:
       case PlanOp::kExpandForall: {
         const bool exists = node.op == PlanOp::kExpandExists;
-        Emit(VmOp::kBeginOp, 0, 0, 0, kOpTimed | kOpCountExpand, &node);
         Emit(exists ? VmOp::kLoadFalseSym : VmOp::kLoadTrueSym, dest, 0, 0, 0,
              &node);
         const uint32_t ir = AllocI();
@@ -299,7 +292,6 @@ class Lowerer {
         PatchB(loop);
         PatchB(brk);
         FreeI();
-        Emit(VmOp::kEndOp, 0, 0, 0, kOpTimed, &node);
         break;
       }
       default:
@@ -354,9 +346,6 @@ class Lowerer {
       case PlanOp::kAnyRegion:
       case PlanOp::kAllRegion: {
         const bool any = node.op == PlanOp::kAnyRegion;
-        // Counter bracket only: the tree walk times expand.* but not the
-        // boolean region loops.
-        Emit(VmOp::kBeginOp, 0, 0, 0, kOpCountExpand, &node);
         Emit(VmOp::kLoadBool, dest, 0, 0, any ? 0 : 1, &node);
         const uint32_t ir = AllocI();
         Emit(VmOp::kLoadImm, ir, 0, 0, 0, &node);
@@ -396,12 +385,10 @@ class Lowerer {
         break;
       }
       case PlanOp::kRbitMember: {
-        Emit(VmOp::kBeginOp, 0, 0, 0, kOpTimed, &node);
         const uint32_t src = AllocS();
         LowerSym(*node.children[0], src);
         Emit(VmOp::kRbitFinish, dest, src, 0, 0, &node);
         FreeS();
-        Emit(VmOp::kEndOp, 0, 0, 0, kOpTimed, &node);
         break;
       }
       case PlanOp::kNonEmpty: {
@@ -498,7 +485,7 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
     if (proc.origin == nullptr) {
       out += " (main)";
     } else {
-      out += " (" + PlanOpName(proc.origin->op) + " " +
+      out += " (" + std::string(PlanOpName(proc.origin->op)) + " " +
              node_ref(proc.origin) + ")";
     }
     out += ": " + std::string(proc.symbolic ? "sym" : "bool");
@@ -623,18 +610,6 @@ std::string DisassembleBytecode(const BytecodeProgram& program) {
           line += SlotName(in.node->region_var, region_names) + " = i" +
                   std::to_string(in.b);
           break;
-        case VmOp::kBeginOp:
-        case VmOp::kEndOp: {
-          line += PlanOpName(in.node->op);
-          if (in.op == VmOp::kBeginOp) {
-            std::string flags;
-            if (in.imm & kOpTimed) flags += ",timed";
-            if (in.imm & kOpCountQe) flags += ",qe";
-            if (in.imm & kOpCountExpand) flags += ",expand";
-            if (!flags.empty()) line += " [" + flags.substr(1) + "]";
-          }
-          break;
-        }
         case VmOp::kCallSym:
         case VmOp::kCallBool:
           line += (in.op == VmOp::kCallSym ? "s" : "b") +

@@ -20,15 +20,15 @@ namespace lcdb {
 ///
 /// The lowering mirrors the tree executor's recursion instruction for
 /// instruction: every plan node opens with an Enter instruction (governor
-/// checkpoint, node counters, EXPLAIN ANALYZE call accounting, memo probe)
-/// and closes with a Leave instruction (profile settle, memo store), the
-/// same short-circuit jump structure the tree's && / || / break statements
-/// produce, and the same operator-accounting brackets ScopedOpTimer emits —
-/// so answers, memo hit patterns, governor checkpoint cadence and op.*
-/// metrics are byte-identical to the tree walk (see DESIGN.md, "Plan
-/// bytecode and the VM").
+/// checkpoint, node counters, EXPLAIN ANALYZE call accounting, memo probe;
+/// on a miss, the operator's counter and span, AccountOp) and closes with a
+/// Leave instruction (operator span close, profile settle, memo store), and
+/// it keeps the same short-circuit jump structure the tree's && / || /
+/// break statements produce — so answers, memo hit patterns, governor
+/// checkpoint cadence and span trees are byte-identical to the tree walk
+/// (see DESIGN.md, "Plan bytecode and the VM").
 enum class VmOp : uint8_t {
-  // ---- Node entry / exit (checkpoint + counters + memo + profile).
+  // ---- Node entry / exit (checkpoint + counters + memo + profile + span).
   kEnterSym,   ///< a=dest s, b=skip pc on a memo hit (cache-marked node)
   kLeaveSym,   ///< a=dest s; stores the result of a cache-marked node
   kEnterBool,  ///< a=dest b, b=skip pc on a memo hit (cache-marked node)
@@ -66,21 +66,11 @@ enum class VmOp : uint8_t {
   kLoopHead,       ///< if i[a] >= |Reg| pc = b; imm = governor stride
   kLoopNext,       ///< ++i[a]; pc = b
   kSetRegion,      ///< env[node->region_var] = i[b]
-  // ---- Operator accounting (ScopedOpTimer / counter brackets).
-  kBeginOp,  ///< imm = OpFlags; timed ops push a timer + trace span
-  kEndOp,    ///< pops the matching timer, records into op_timings
   // ---- Procedures (shared CSE nodes; opaque leaves of member bodies).
   kCallSym,   ///< s[a] = result reg 0 of proc imm
   kCallBool,  ///< b[a] = result reg 0 of proc imm
   kRet,       ///< return from proc (result is frame-local reg 0)
   kHalt,      ///< end of the main proc
-};
-
-/// kBeginOp accounting flags (bitwise-orable).
-enum OpFlags : uint32_t {
-  kOpTimed = 1,        ///< wall-clock into op_timings + "op" trace span
-  kOpCountQe = 2,      ///< ++stats.qe_eliminations
-  kOpCountExpand = 4,  ///< ++stats.region_expansions
 };
 
 /// One fixed-width instruction. `node` points into the compiled plan (kept

@@ -4,7 +4,7 @@
 
 #include "engine/governor.h"
 #include "geometry/convex_closure.h"
-#include "plan/op_timer.h"
+#include "plan/node_accounting.h"
 #include "qe/fourier_motzkin.h"
 #include "util/failpoint.h"
 #include "util/interrupt.h"
@@ -77,6 +77,7 @@ DnfFormula PlanExecutor::Eval(const PlanNode& node) {
 }
 
 DnfFormula PlanExecutor::EvalUncached(const PlanNode& node) {
+  TraceSpan span(AccountOp(node.op, stats_));
   const size_t m = num_columns_;
   switch (node.op) {
     case PlanOp::kConstFormula:
@@ -113,7 +114,6 @@ DnfFormula PlanExecutor::EvalUncached(const PlanNode& node) {
       return a.And(b).Or(a.Negate().And(b.Negate()));
     }
     case PlanOp::kHull: {
-      ScopedOpTimer timer(&stats_->op_timings, node.op);
       DnfFormula body = Eval(*node.children[0]);
       DnfFormula projected = body.Substitute(node.hull_project,
                                              node.hull_arity);
@@ -121,19 +121,11 @@ DnfFormula PlanExecutor::EvalUncached(const PlanNode& node) {
       LCDB_CHECK_MSG(hull.ok(), "convex closure failed");
       return hull->Substitute(node.subst, m);
     }
-    case PlanOp::kExistsElim: {
-      ScopedOpTimer timer(&stats_->op_timings, node.op);
-      ++stats_->qe_eliminations;
+    case PlanOp::kExistsElim:
       return ExistsVariable(Eval(*node.children[0]), node.column);
-    }
-    case PlanOp::kForallElim: {
-      ScopedOpTimer timer(&stats_->op_timings, node.op);
-      ++stats_->qe_eliminations;
+    case PlanOp::kForallElim:
       return ForallVariable(Eval(*node.children[0]), node.column);
-    }
     case PlanOp::kExpandExists: {
-      ScopedOpTimer timer(&stats_->op_timings, node.op);
-      ++stats_->region_expansions;
       DnfFormula acc = DnfFormula::False(m);
       for (size_t r = 0; r < ext_.num_regions(); ++r) {
         env_.regions[node.region_var] = r;
@@ -143,8 +135,6 @@ DnfFormula PlanExecutor::EvalUncached(const PlanNode& node) {
       return acc;
     }
     case PlanOp::kExpandForall: {
-      ScopedOpTimer timer(&stats_->op_timings, node.op);
-      ++stats_->region_expansions;
       DnfFormula acc = DnfFormula::True(m);
       for (size_t r = 0; r < ext_.num_regions(); ++r) {
         env_.regions[node.region_var] = r;
@@ -180,6 +170,7 @@ bool PlanExecutor::EvalBool(const PlanNode& node) {
 }
 
 bool PlanExecutor::EvalBoolUncached(const PlanNode& node) {
+  TraceSpan span(AccountOp(node.op, stats_));
   switch (node.op) {
     case PlanOp::kConstBool:
       return node.const_bool;
@@ -194,7 +185,6 @@ bool PlanExecutor::EvalBoolUncached(const PlanNode& node) {
     case PlanOp::kIffBool:
       return EvalBool(*node.children[0]) == EvalBool(*node.children[1]);
     case PlanOp::kAnyRegion: {
-      ++stats_->region_expansions;
       bool found = false;
       for (size_t r = 0; r < ext_.num_regions() && !found; ++r) {
         env_.regions[node.region_var] = r;
@@ -203,7 +193,6 @@ bool PlanExecutor::EvalBoolUncached(const PlanNode& node) {
       return found;
     }
     case PlanOp::kAllRegion: {
-      ++stats_->region_expansions;
       bool holds = true;
       for (size_t r = 0; r < ext_.num_regions() && holds; ++r) {
         env_.regions[node.region_var] = r;
@@ -231,7 +220,6 @@ bool PlanExecutor::EvalBoolUncached(const PlanNode& node) {
       return relation.Test(tuple.data());
     }
     case PlanOp::kRbitMember: {
-      ScopedOpTimer timer(&stats_->op_timings, node.op);
       const DnfFormula body = Eval(*node.children[0]);
       return DecideRbit(ext_, node, body, num_columns_,
                         env_.regions[node.region_args[0]],

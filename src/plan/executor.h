@@ -30,8 +30,8 @@ namespace lcdb {
 ///
 /// The executor is single-query: construct, call Run() once, read the
 /// updated stats. Expensive operators (QE, region expansion, hull,
-/// fixpoints, closures, rBIT) report wall-clock per-operator timings into
-/// Stats::op_timings.
+/// fixpoints, closures, rBIT) open a trace span per uncached execution
+/// (AccountingOf, plan/plan_ir.h); per-operator time comes from those.
 class PlanExecutor : private RegionLeafEvaluator {
  public:
   PlanExecutor(const CompiledPlan& plan, const RegionExtension& ext,

@@ -9,7 +9,7 @@
 
 namespace lcdb {
 
-std::string PlanOpName(PlanOp op) {
+const char* PlanOpName(PlanOp op) {
   switch (op) {
     case PlanOp::kConstFormula: return "const.formula";
     case PlanOp::kInRegion: return "in_region";

@@ -139,8 +139,8 @@ struct CompiledPlan {
   std::vector<std::string> set_names;
 };
 
-/// Human-readable operator name (explain output, timing keys).
-std::string PlanOpName(PlanOp op);
+/// Human-readable operator name (explain output, span names).
+const char* PlanOpName(PlanOp op);
 
 /// The name of `slot` in a CompiledPlan name table; "?N" when the slot is
 /// outside it (verifier messages about malformed plans).
@@ -150,23 +150,35 @@ std::string JoinSlotNames(const std::vector<uint32_t>& slots,
                           const std::vector<std::string>& names,
                           const char* separator);
 
-/// Operators whose executions are wall-clocked into Stats::op_timings (the
-/// expensive ones: QE, region expansion, hull, fixpoints, closures, rBIT).
-/// Memo hits on these ops are broken out as OpTiming::memo_hits so per-op
-/// profiles stay comparable between the tree walk and the bytecode VM.
-inline bool IsTimedPlanOp(PlanOp op) {
+/// Node-level accounting of one uncached execution of an operator, the same
+/// on the tree walk and the VM: whether it opens a trace span named
+/// PlanOpName(op), and which Evaluator::Stats counter it bumps.
+struct OpAccounting {
+  bool span = false;
+  bool qe_elimination = false;    ///< ++qe_eliminations
+  bool region_expansion = false;  ///< ++region_expansions
+};
+
+/// The expensive operators (hull, QE, symbolic region expansion, rBIT) open
+/// a span; the region engine opens the fixpoint and closure spans itself.
+/// QE counts an elimination, and every region loop, symbolic or boolean,
+/// counts an expansion.
+inline OpAccounting AccountingOf(PlanOp op) {
   switch (op) {
     case PlanOp::kHull:
+    case PlanOp::kRbitMember:
+      return {true, false, false};
     case PlanOp::kExistsElim:
     case PlanOp::kForallElim:
+      return {true, true, false};
     case PlanOp::kExpandExists:
     case PlanOp::kExpandForall:
-    case PlanOp::kRbitMember:
-    case PlanOp::kFixpointMember:
-    case PlanOp::kClosureMember:
-      return true;
+      return {true, false, true};
+    case PlanOp::kAnyRegion:
+    case PlanOp::kAllRegion:
+      return {false, false, true};
     default:
-      return false;
+      return {};
   }
 }
 

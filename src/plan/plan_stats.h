@@ -51,24 +51,8 @@ struct PlanPassStats {
   }
 };
 
-/// Wall-clock attribution of one evaluation to coarse plan operators
-/// (fixpoint iteration, closure construction, QE, region expansion, hull,
-/// rBIT). Only the expensive operators are timed; cheap connective visits
-/// are counted but not clocked.
-struct OpTiming {
-  uint64_t count = 0;
-  uint64_t total_ns = 0;
-  /// Evaluations of this operator served from the executor memo instead of
-  /// running (and being timed). Without this the time a memoized re-visit
-  /// *saves* silently inflates the parent's inclusive share — breaking out
-  /// the hit count keeps tree and VM profiles comparable.
-  uint64_t memo_hits = 0;
-};
-
-using OpTimings = std::map<std::string, OpTiming>;
-
 /// Telemetry of one bytecode-VM execution (plan/vm.h). Zero when the tree
-/// backend ran; reset at each Evaluate entry like op_timings.
+/// backend ran; reset at each Evaluate entry.
 struct VmStats {
   /// Instructions the dispatch loop executed.
   uint64_t instructions = 0;

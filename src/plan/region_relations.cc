@@ -10,7 +10,7 @@
 #include "engine/governor.h"
 #include "engine/kernel.h"
 #include "engine/trace.h"
-#include "plan/op_timer.h"
+#include "plan/node_accounting.h"
 #include "qe/fourier_motzkin.h"
 #include "util/failpoint.h"
 #include "util/interrupt.h"
@@ -903,7 +903,7 @@ const RegionRelation& RegionRelationEngine::Fixpoint(const PlanNode& node) {
     }
   }
 
-  ScopedOpTimer timer(&stats_->op_timings, node.op);
+  TraceSpan span("fixpoint");
   ++stats_->fixpoints_computed;
   const uint64_t kernel_queries_before =
       CurrentKernel().stats().feasibility_queries;
@@ -1062,7 +1062,7 @@ const RegionRelation& RegionRelationEngine::Closure(const PlanNode& node) {
     }
   }
 
-  ScopedOpTimer timer(&stats_->op_timings, node.op);
+  TraceSpan span("closure");
   ++stats_->closures_computed;
   const uint64_t kernel_queries_before =
       CurrentKernel().stats().feasibility_queries;

@@ -75,9 +75,6 @@ class PlanMemo {
     if (it == per_node->second.end()) return nullptr;
     ++stats_->memo_hits;
     if (profile_ != nullptr) ++(*profile_)[&node].memo_hits;
-    if (IsTimedPlanOp(node.op)) {
-      ++stats_->op_timings[PlanOpName(node.op)].memo_hits;
-    }
     return &it->second;
   }
 

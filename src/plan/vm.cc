@@ -1,6 +1,5 @@
 #include "plan/vm.h"
 
-#include <chrono>
 #include <string>
 #include <utility>
 
@@ -40,16 +39,19 @@ DnfFormula BytecodeVm::Run() {
   // Same named injection site as PlanExecutor::Run — the backends are
   // interchangeable behind it (failpoint_test.cc, vm_test.cc).
   LCDB_FAILPOINT("plan.execute");
+  tracer_ = ActiveTracerOrNull();
   try {
     DnfFormula result = CallSymProc(0);
-    LCDB_CHECK(op_stack_.empty());
+    LCDB_CHECK(op_spans_.empty());
     return result;
   } catch (...) {
-    // Close open operator brackets innermost-first, recording their partial
-    // wall-clock — what the tree walk's ScopedOpTimer destructors do during
-    // an unwind. Pending profile frames are discarded instead, matching
-    // Profiled: a tripped node never produced a result to attribute.
-    while (!op_stack_.empty()) CloseOpFrame();
+    // Close open operator spans innermost-first — what the tree walk's
+    // TraceSpan destructors do during an unwind. Pending profile frames are
+    // discarded instead, matching Profiled: a tripped node never produced
+    // a result to attribute.
+    for (; !op_spans_.empty(); op_spans_.pop_back()) {
+      tracer_->EndSpan(op_spans_.back());
+    }
     profile_stack_.clear();
     // The VM dies with this unwind; deposit completed fixpoint/closure
     // entries into the ambient resume collector (core/resume.h).
@@ -101,28 +103,6 @@ bool BytecodeVm::CallBoolProc(uint32_t proc_id) {
   return result;
 }
 
-void BytecodeVm::PushOpFrame(const PlanNode& node) {
-  OpFrame frame;
-  frame.op = node.op;
-  frame.tracer = ActiveTracerOrNull();
-  if (frame.tracer != nullptr) {
-    frame.span_id = frame.tracer->BeginSpan(PlanOpName(node.op).c_str());
-  }
-  frame.start = std::chrono::steady_clock::now();
-  op_stack_.push_back(std::move(frame));
-}
-
-void BytecodeVm::CloseOpFrame() {
-  OpFrame frame = std::move(op_stack_.back());
-  op_stack_.pop_back();
-  OpTiming& slot = stats_->op_timings[PlanOpName(frame.op)];
-  ++slot.count;
-  slot.total_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - frame.start)
-                       .count();
-  if (frame.tracer != nullptr) frame.tracer->EndSpan(frame.span_id);
-}
-
 void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
                           size_t ib) {
   const VmInstr* code = proc.code.data();
@@ -170,11 +150,19 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
         if (profile_ != nullptr) {
           profile_stack_.push_back(ProfileFrame{node, NodeProfileBracket()});
         }
+        const char* span = AccountOp(node->op, stats_);
+        if (span != nullptr && tracer_ != nullptr) {
+          op_spans_.push_back(tracer_->BeginSpan(span));
+        }
         break;
       }
       case VmOp::kLeaveSym:
       case VmOp::kLeaveBool: {
         const bool symbolic = in.op == VmOp::kLeaveSym;
+        if (tracer_ != nullptr && AccountingOf(in.node->op).span) {
+          tracer_->EndSpan(op_spans_.back());
+          op_spans_.pop_back();
+        }
         if (profile_ != nullptr) {
           const ProfileFrame& frame = profile_stack_.back();
           PlanNodeProfile& p = (*profile_)[frame.node];
@@ -340,15 +328,6 @@ void BytecodeVm::Dispatch(const VmProc& proc, size_t sb, size_t bb,
         continue;
       case VmOp::kSetRegion:
         env_.regions[in.node->region_var] = I(in.b);
-        break;
-      // ---- Operator accounting.
-      case VmOp::kBeginOp:
-        if (in.imm & kOpCountQe) ++stats_->qe_eliminations;
-        if (in.imm & kOpCountExpand) ++stats_->region_expansions;
-        if (in.imm & kOpTimed) PushOpFrame(*in.node);
-        break;
-      case VmOp::kEndOp:
-        CloseOpFrame();
         break;
       // ---- Procedures.
       case VmOp::kCallSym:

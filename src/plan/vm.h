@@ -1,7 +1,6 @@
 #ifndef LCDB_PLAN_VM_H_
 #define LCDB_PLAN_VM_H_
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -10,7 +9,7 @@
 #include "core/evaluator.h"
 #include "db/region_extension.h"
 #include "plan/bytecode.h"
-#include "plan/op_timer.h"
+#include "plan/node_accounting.h"
 #include "plan/region_relations.h"
 #include "plan/slot_env.h"
 
@@ -22,7 +21,7 @@ class QueryTracer;
 /// `use_bytecode` backend behind the ExecutePlan façade. One flat dispatch
 /// loop replaces the tree executor's recursive virtual walk; the semantic
 /// contract is byte-identical answer formulas, memo hit patterns, governor
-/// checkpoint cadence, kernel query counts and op.*/trace telemetry versus
+/// checkpoint cadence, kernel query counts and span trees versus
 /// PlanExecutor (see plan_equivalence_test.cc). Kernel call sites
 /// (kNonEmpty emptiness tests, the rBIT implication) ask the ambient
 /// kernel, whose lemma database is the one cache of kernel verdicts.
@@ -36,9 +35,9 @@ class BytecodeVm : private RegionLeafEvaluator {
 
   /// Executes proc 0; fires the "plan.execute" failpoint first, exactly
   /// like PlanExecutor::Run. On a QueryInterrupt unwind, open operator
-  /// timers are closed (recording their partial wall-clock, matching the
-  /// tree walk's ScopedOpTimer destructors) and pending profile frames are
-  /// discarded (matching Profiled's skip-on-unwind).
+  /// spans are closed innermost-first (matching the tree walk's TraceSpan
+  /// destructors) and pending profile frames are discarded (matching
+  /// Profiled's skip-on-unwind).
   DnfFormula Run();
 
   /// EXPLAIN ANALYZE sink, same contract as PlanExecutor::EnableProfiling.
@@ -48,14 +47,6 @@ class BytecodeVm : private RegionLeafEvaluator {
   }
 
  private:
-  /// One open kBeginOp(kOpTimed) bracket: closed by kEndOp or by the
-  /// unwind handler in Run().
-  struct OpFrame {
-    PlanOp op;
-    std::chrono::steady_clock::time_point start;
-    uint64_t span_id = 0;
-    QueryTracer* tracer = nullptr;
-  };
   /// One in-flight profiled node evaluation (Enter .. Leave), the VM's
   /// form of PlanExecutor::Profiled.
   struct ProfileFrame {
@@ -78,9 +69,6 @@ class BytecodeVm : private RegionLeafEvaluator {
   /// bound.
   bool EvalOpaqueLeaf(const PlanNode& leaf) override;
 
-  void PushOpFrame(const PlanNode& node);
-  void CloseOpFrame();
-
   const BytecodeProgram& program_;
   const RegionExtension& ext_;
   const Evaluator::Options& options_;
@@ -98,7 +86,11 @@ class BytecodeVm : private RegionLeafEvaluator {
   SlotEnv env_;
   PlanMemo memo_;
 
-  std::vector<OpFrame> op_stack_;
+  /// The tracer installed at Run(), and the ids of the operator spans open
+  /// on it: an Enter that misses the memo opens its node's span
+  /// (AccountOp), the matching Leave closes it.
+  QueryTracer* tracer_ = nullptr;
+  std::vector<uint64_t> op_spans_;
   std::vector<ProfileFrame> profile_stack_;
 
   std::map<const PlanNode*, uint32_t> leaf_index_;  ///< into leaf_sites

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -185,6 +186,41 @@ TEST(ObsLogTest, EvaluatorAppendsOneRecordPerCall) {
   const QueryRecord r2 = recorder.Tail(1)[0];
   EXPECT_EQ(r2.outcome, "invalid");
   EXPECT_EQ(r2.plan_fingerprint, 0u);
+}
+
+TEST(ObsLogTest, PhaseColumnsAreTheSpanDurations) {
+  // The spans are the one clock: with a tracer installed, each phase column
+  // of the record is exactly the duration the tracer recorded for its span
+  // (plan_optimize is the optimize, cost and verify spans together).
+  auto ext = TinyExtension();
+  auto parsed = ParseQuery("exists x . (S(x) & x > 2)", "S");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  QueryFlightRecorder recorder;
+  ScopedFlightRecorder scoped_recorder(recorder);
+  QueryTracer tracer;
+  {
+    ScopedTracer scoped_tracer(tracer);
+    Evaluator evaluator(*ext);
+    auto answer = evaluator.Evaluate(**parsed);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  }
+  std::map<std::string, uint64_t> span_ns;
+  tracer.VisitCompletedSpans([&](const std::string& name, uint64_t ns) {
+    span_ns[name] += ns;
+  });
+  ASSERT_EQ(tracer.spans_dropped(), 0u);
+  ASSERT_EQ(recorder.appended(), 1u);
+  const QueryRecord r = recorder.Tail(1)[0];
+  EXPECT_EQ(r.typecheck_ns, span_ns.at("typecheck"));
+  EXPECT_EQ(r.analyze_ns, span_ns.at("analyze"));
+  EXPECT_EQ(r.plan_build_ns, span_ns.at("plan.build"));
+  EXPECT_EQ(r.plan_optimize_ns, span_ns.at("plan.optimize") +
+                                    span_ns.at("plan.cost") +
+                                    span_ns.at("plan.verify"));
+  EXPECT_EQ(r.execute_ns, span_ns.at("plan.execute"));
+  EXPECT_LE(r.typecheck_ns + r.analyze_ns + r.plan_build_ns +
+                r.plan_optimize_ns + r.execute_ns,
+            r.total_ns);
 }
 
 TEST(ObsLogTest, TraceSpansDroppedIsExported) {

@@ -10,12 +10,15 @@
 // The optimizer's contract is representation preservation, not mere logical
 // equivalence, so the comparison is on ToString() output.
 // (c) and (d) must also ask the kernel the same questions: equal query,
-// oracle-call and hit/miss counters on fresh kernels.
+// oracle-call and hit/miss counters on fresh kernels — and record the same
+// span tree.
 // LCDB_TEST_DATA_DIR is injected by CMake.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,35 +41,68 @@ namespace {
 #define LCDB_TEST_DATA_DIR "data"
 #endif
 
+/// Retains every span of the largest swept query.
+constexpr size_t kSweepSpanCapacity = 1u << 20;
+
 ConstraintDatabase Load(const std::string& name) {
   auto db = LoadDatabaseFromFile(std::string(LCDB_TEST_DATA_DIR) + "/" + name);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   return *db;
 }
 
+/// The span tree of `tracer` with zeroed timestamps, minus the VM's
+/// lowering and bytecode-verification spans (phases the tree walk does not
+/// have; neither has child spans).
+std::string ExecutionSpans(const QueryTracer& tracer) {
+  std::istringstream lines(tracer.ToTreeString(/*zero_timestamps=*/true));
+  std::string out, line;
+  while (std::getline(lines, line)) {
+    const std::string name = line.substr(line.find_first_not_of(' '));
+    if (name.rfind("plan.lower", 0) == 0 ||
+        name.rfind("bytecode.verify", 0) == 0) {
+      continue;
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
 /// `stages`, when given, receives the evaluation's fixpoint_iterations.
-/// `traffic`, when given, receives the evaluation's stats, taken on a fresh
-/// kernel with the ambient kernel's options so that no earlier run's
-/// cached verdicts count in its kernel counters.
+/// `traffic`, when given, receives the evaluation's stats, and `spans` its
+/// ExecutionSpans; both are taken on a fresh kernel with the ambient
+/// kernel's options so that no earlier run's cached verdicts count in its
+/// kernel counters or change its LP spans.
 std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
                       bool use_plan, bool optimize,
                       bool use_bytecode = false, size_t* stages = nullptr,
-                      Evaluator::Stats* traffic = nullptr) {
+                      Evaluator::Stats* traffic = nullptr,
+                      std::string* spans = nullptr) {
   Evaluator::Options options;
   options.use_plan = use_plan;
   options.optimize = optimize;
   options.use_bytecode = use_bytecode;
   std::unique_ptr<ConstraintKernel> fresh;
   std::unique_ptr<ScopedKernel> scope;
-  if (traffic != nullptr) {
+  if (traffic != nullptr || spans != nullptr) {
     fresh = std::make_unique<ConstraintKernel>(CurrentKernel().options());
     scope = std::make_unique<ScopedKernel>(*fresh);
   }
+  std::optional<QueryTracer> tracer;
+  std::optional<ScopedTracer> traced;
+  if (spans != nullptr) {
+    tracer.emplace(QueryTracer::Options{.capacity = kSweepSpanCapacity});
+    traced.emplace(*tracer);
+  }
   Evaluator evaluator(ext, options);
   auto answer = evaluator.Evaluate(query);
+  traced.reset();
   EXPECT_TRUE(answer.ok()) << answer.status().ToString();
   if (stages != nullptr) *stages = evaluator.stats().fixpoint_iterations;
   if (traffic != nullptr) *traffic = evaluator.stats();
+  if (spans != nullptr) {
+    EXPECT_EQ(tracer->spans_dropped(), 0u);
+    *spans = ExecutionSpans(*tracer);
+  }
   if (!answer.ok()) return "<error>";
   return answer->ToString();
 }
@@ -107,8 +143,9 @@ void ExpectAllModesAgree(const RegionExtension& ext, const std::string& text,
     EXPECT_EQ(legacy_stages, stages) << "raw plan stages differ on: " << text;
   }
   Evaluator::Stats tree_traffic, vm_traffic;
+  std::string tree_spans;
   EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, false, &stages,
-                              &tree_traffic))
+                              &tree_traffic, &tree_spans))
       << "optimized plan diverges on: " << text;
   EXPECT_EQ(legacy_stages, stages)
       << "optimized plan stages differ on: " << text;
@@ -124,14 +161,14 @@ void ExpectAllModesAgree(const RegionExtension& ext, const std::string& text,
   EXPECT_EQ(tree_traffic.bool_evaluations, vm_traffic.bool_evaluations)
       << text;
   EXPECT_EQ(tree_traffic.memo_hits, vm_traffic.memo_hits) << text;
-  {
-    // Traced VM run: span emission sits on the dispatch hot path, so it is
-    // swept too — tracing must be observation only.
-    QueryTracer tracer;
-    ScopedTracer scoped(tracer);
-    EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, true))
-        << "traced bytecode VM diverges on: " << text;
-  }
+  // Traced VM run: span emission sits on the dispatch hot path, so it is
+  // swept too — tracing must be observation only, and the VM's Enter/Leave
+  // must open and close the tree walk's operator spans.
+  std::string vm_spans;
+  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, true, nullptr,
+                              nullptr, &vm_spans))
+      << "traced bytecode VM diverges on: " << text;
+  EXPECT_EQ(tree_spans, vm_spans) << "span trees differ on: " << text;
 }
 
 /// Queries exercising every operator family, parameterized on the

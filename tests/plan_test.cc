@@ -12,6 +12,7 @@
 #include "core/queries.h"
 #include "db/region_extension.h"
 #include "db/workloads.h"
+#include "engine/trace.h"
 
 namespace lcdb {
 namespace {
@@ -123,13 +124,22 @@ TEST(PlanOptimizerTest, OptimizeOffDisablesCaching) {
   EXPECT_LT(optimized.node_evaluations, raw.node_evaluations);
 }
 
-TEST(PlanOptimizerTest, OpTimingsPopulated) {
+TEST(PlanOptimizerTest, FixpointSpanRecorded) {
+  // Per-operator time lives in the trace spans: the one fixpoint of the
+  // connectivity sentence is computed once, in one span.
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
-  const auto stats = EvalStats(*ext, RegionConnQueryText(), true);
-  auto it = stats.op_timings.find("fixpoint");
-  ASSERT_NE(it, stats.op_timings.end());
-  EXPECT_EQ(it->second.count, 1u);
+  QueryTracer tracer;
+  {
+    ScopedTracer scoped(tracer);
+    EvalStats(*ext, RegionConnQueryText(), true);
+  }
+  size_t fixpoint_spans = 0;
+  tracer.VisitCompletedSpans([&](const std::string& name, uint64_t) {
+    if (name == "fixpoint") ++fixpoint_spans;
+  });
+  EXPECT_EQ(tracer.spans_dropped(), 0u);
+  EXPECT_EQ(fixpoint_spans, 1u);
 }
 
 TEST(PlanExplainTest, OptimizedPlanRendering) {

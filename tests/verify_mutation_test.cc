@@ -266,17 +266,16 @@ std::vector<BytecodeMutation> BytecodeMutations() {
           const VmInstr& in) { return IsJump(in.op) && pc > 0; },
        [](const BytecodeProgram&, const VmProc&, VmInstr& in) { in.b = 0; },
        {"backward jump is not a loop back-edge"}});
-  // Drop a Leave: replace it with an accounting no-op, so the matching
-  // Enter's bracket never closes on any path.
+  // Drop a Leave: replace it with an in-place rewrite of its (defined)
+  // result register, so the matching Enter's bracket never closes on any
+  // path.
   ops.push_back(
       {"drop-leave",
        [](const BytecodeProgram&, const VmProc&, size_t, const VmInstr& in) {
          return in.op == VmOp::kLeaveSym || in.op == VmOp::kLeaveBool;
        },
        [](const BytecodeProgram&, const VmProc&, VmInstr& in) {
-         in = VmInstr{};
-         in.op = VmOp::kBeginOp;
-         in.imm = 0;
+         in.op = in.op == VmOp::kLeaveSym ? VmOp::kNegSym : VmOp::kNotBool;
        },
        {"bracket"}});
   // Retype an Enter: its Leave no longer matches the open bracket, the
@@ -391,10 +390,9 @@ std::vector<BytecodeMutation> BytecodeMutations() {
          return pc + 1 == proc.code.size() &&
                 (in.op == VmOp::kRet || in.op == VmOp::kHalt);
        },
-       [](const BytecodeProgram&, const VmProc&, VmInstr& in) {
+       [](const BytecodeProgram&, const VmProc& proc, VmInstr& in) {
          in = VmInstr{};
-         in.op = VmOp::kBeginOp;
-         in.imm = 0;
+         in.op = proc.symbolic ? VmOp::kLoadTrueSym : VmOp::kLoadBool;
        },
        {"control falls off the end"}});
   // Replace the entry instruction with a read: nothing is defined at proc

@@ -61,7 +61,8 @@ Evaluator::Options VmOptions() {
 TEST(VmTest, DisassemblerGolden) {
   // A query touching both modes (symbolic QE + boolean region loop) and
   // memo-marked subplans (each Enter lists its memo key), pinned
-  // byte-for-byte. If lowering legitimately
+  // byte-for-byte. The expand.exists and qe.exists Enter/Leave pairs also
+  // carry those operators' spans and counters. If lowering legitimately
   // changes, update the golden — the point is that it cannot drift
   // unnoticed.
   ConstraintDatabase db = IntervalsDb();
@@ -73,37 +74,33 @@ TEST(VmTest, DisassemblerGolden) {
   EXPECT_EQ(
       DisassembleBytecode(program),
       "proc 0 (main): sym sregs=4 bregs=1 iregs=1\n"
-      "  0000  enter.sym     s0 #0 expand.exists memo={} skip->0029\n"
-      "  0001  begin.op      expand.exists [timed,expand]\n"
-      "  0002  load.false    s0\n"
-      "  0003  load.imm      i0 0\n"
-      "  0004  loop.head     i0 exit->0027 stride=0\n"
-      "  0005  set_region    R = i0\n"
-      "  0006  enter.sym     s1 #1 and.sym memo={R} skip->0024\n"
-      "  0007  enter.sym     s1 #2 lift_bool\n"
-      "  0008  enter.bool    b0 #3 region_atom\n"
-      "  0009  region_atom   b0 R\n"
-      "  0010  leave.bool    b0\n"
-      "  0011  lift_bool     s1 b0\n"
-      "  0012  leave.sym     s1\n"
-      "  0013  jmp.sym_false s1 ->0023\n"
-      "  0014  enter.sym     s2 #4 qe.exists memo={} skip->0022\n"
-      "  0015  begin.op      qe.exists [timed,qe]\n"
-      "  0016  enter.sym     s3 #5 const.formula\n"
-      "  0017  const.formula s3 {(-x0 < 0 & x0 < 1 & -x0 <= 0)...}\n"
-      "  0018  leave.sym     s3\n"
-      "  0019  qe.exists     s2 s3 col0\n"
-      "  0020  end.op        qe.exists\n"
-      "  0021  leave.sym     s2 memo\n"
-      "  0022  and.sym       s1 s2\n"
-      "  0023  leave.sym     s1 memo\n"
-      "  0024  or.sym        s0 s1\n"
-      "  0025  jmp.sym_true  s0 ->0027\n"
-      "  0026  loop.next     i0 ->0004\n"
-      "  0027  end.op        expand.exists\n"
-      "  0028  leave.sym     s0 memo\n"
-      "  0029  halt          \n"
-      "-- 1 proc(s), 30 instruction(s)\n");
+      "  0000  enter.sym     s0 #0 expand.exists memo={} skip->0025\n"
+      "  0001  load.false    s0\n"
+      "  0002  load.imm      i0 0\n"
+      "  0003  loop.head     i0 exit->0024 stride=0\n"
+      "  0004  set_region    R = i0\n"
+      "  0005  enter.sym     s1 #1 and.sym memo={R} skip->0021\n"
+      "  0006  enter.sym     s1 #2 lift_bool\n"
+      "  0007  enter.bool    b0 #3 region_atom\n"
+      "  0008  region_atom   b0 R\n"
+      "  0009  leave.bool    b0\n"
+      "  0010  lift_bool     s1 b0\n"
+      "  0011  leave.sym     s1\n"
+      "  0012  jmp.sym_false s1 ->0020\n"
+      "  0013  enter.sym     s2 #4 qe.exists memo={} skip->0019\n"
+      "  0014  enter.sym     s3 #5 const.formula\n"
+      "  0015  const.formula s3 {(-x0 < 0 & x0 < 1 & -x0 <= 0)...}\n"
+      "  0016  leave.sym     s3\n"
+      "  0017  qe.exists     s2 s3 col0\n"
+      "  0018  leave.sym     s2 memo\n"
+      "  0019  and.sym       s1 s2\n"
+      "  0020  leave.sym     s1 memo\n"
+      "  0021  or.sym        s0 s1\n"
+      "  0022  jmp.sym_true  s0 ->0024\n"
+      "  0023  loop.next     i0 ->0003\n"
+      "  0024  leave.sym     s0 memo\n"
+      "  0025  halt          \n"
+      "-- 1 proc(s), 26 instruction(s)\n");
 }
 
 TEST(VmTest, DisassemblerListsEveryProcAndFootersMatch) {
@@ -182,26 +179,6 @@ TEST(VmTest, VmStatsPopulatedAndByteIdentical) {
   EXPECT_NE(vm.stats().ToJson().find("\"vm.procs\":"), std::string::npos);
 }
 
-TEST(VmTest, OpTimingMemoHitsSettleIdentically) {
-  // Satellite contract: per-op memo-hit attribution must agree between the
-  // backends (total_ns is wall-clock and excluded).
-  ConstraintDatabase db = MakeComb(2, true);
-  auto ext = MakeArrangementExtension(db);
-  auto query = ParseQuery(RegionConnQueryText(), db.relation_name());
-  ASSERT_TRUE(query.ok());
-  Evaluator tree(*ext);
-  ASSERT_TRUE(tree.Evaluate(**query).ok());
-  Evaluator vm(*ext, VmOptions());
-  ASSERT_TRUE(vm.Evaluate(**query).ok());
-  EXPECT_EQ(tree.stats().op_timings.size(), vm.stats().op_timings.size());
-  for (const auto& [op, timing] : tree.stats().op_timings) {
-    auto it = vm.stats().op_timings.find(op);
-    ASSERT_NE(it, vm.stats().op_timings.end()) << op;
-    EXPECT_EQ(timing.count, it->second.count) << op;
-    EXPECT_EQ(timing.memo_hits, it->second.memo_hits) << op;
-  }
-}
-
 TEST(VmTest, GovernorBudgetsTripMidLoop) {
   // Each budget must trip from inside bytecode execution (fixpoint loops,
   // dispatch checkpoints) and surface as the documented Status, with the
@@ -258,7 +235,7 @@ TEST(VmTest, GovernorBudgetsTripMidLoop) {
 
 TEST(VmTest, FailpointUnwindLeavesEvaluatorReusable) {
   // Injected faults at the executor root and inside fixpoint/closure loops
-  // must unwind through the VM (closing its operator timers) and leave the
+  // must unwind through the VM (closing its operator spans) and leave the
   // evaluator able to answer the same query correctly afterwards.
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
