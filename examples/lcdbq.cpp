@@ -36,10 +36,11 @@
 //   --timeout <ms>     run under a QueryGovernor with a wall-clock deadline;
 //                      a tripped deadline is a clean error, not a hang.
 //                      Covers extension construction too.
-//   --retries <n>      allow n retries through the resilient QuerySession
-//                      (engine/session.h): resource trips escalate the
-//                      budget and resume from the checkpoint; engine faults
-//                      drop a degradation-ladder rung (default 0)
+//   --retries <n>      allow n retries of a resource failure through the
+//                      resilient QuerySession (engine/session.h): each
+//                      retry doubles the finite budgets and resumes from
+//                      the checkpoint; engine faults are not retried
+//                      (default 0)
 //   --failpoint=SITE[:skip_hits]
 //                      arm the named failpoint site (util/failpoint.h) with
 //                      a kResourceExhausted injection after skip_hits hits —
@@ -56,8 +57,8 @@
 //                      traced deterministically and its spans fold into the
 //                      profile.op.* histograms shown under --stats
 //   --postmortem=DIR   on any failed query, serialize a post-mortem bundle
-//                      (span tree, metrics, ladder history, flight-recorder
-//                      tail) into DIR as lcdb.postmortem.v1 JSON
+//                      (span tree, metrics, retry counts, flight-recorder
+//                      tail) into DIR as lcdb.postmortem.v2 JSON
 //
 // Exit code: 0 = query evaluated (sentences print true/false), 1 = invalid
 // input or engine error, 2 = resource failure (tripped budget, deadline,
@@ -336,9 +337,9 @@ int main(int argc, char** argv) {
   }
 
   // Evaluation routes through the resilient session: one attempt by
-  // default, escalating retries with checkpoint/resume and the degradation
-  // ladder under --retries. Its governor carries the --timeout budget per
-  // attempt (the outer governor above still covers the extension build).
+  // default, escalating resource retries with checkpoint/resume under
+  // --retries. Its governor carries the --timeout budget per attempt (the
+  // outer governor above still covers the extension build).
   lcdb::SessionOptions session_options;
   session_options.eval = options;
   session_options.max_retries = retries;

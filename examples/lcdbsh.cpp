@@ -33,8 +33,9 @@
 //   \show cache                    print the kernel's lemma-database
 //                                  occupancy, tier breakdown and hit rates
 //   \show session                  print the QuerySession's resilience
-//                                  telemetry: retry/resume/degradation
-//                                  counters, the degradation log, quarantine
+//                                  telemetry: retry/resume/escalation and
+//                                  quarantine counters, the last failure
+//                                  class
 //   \show recent                   print the flight recorder's tail: one
 //                                  line per recent query (backend, outcome,
 //                                  per-phase time, retries)
@@ -45,8 +46,7 @@
 //
 // Every query runs through a persistent QuerySession (engine/session.h):
 // budgets reset per attempt, resource trips retry with escalated budgets
-// resuming from fixpoint checkpoints, and persistent faults walk the
-// degradation ladder (vm->tree, memoize->off, trace->off). A
+// resuming from fixpoint checkpoints, and engine faults return at once. A
 // failure of any kind (parse error, type error, tripped budget, injected
 // fault) prints a one-line diagnostic — naming the tripped budget when
 // there is one — and the shell keeps going.
@@ -129,8 +129,8 @@ struct Session {
   }
 
   /// The shell's QuerySession, built lazily against the current extension.
-  /// Stats, quarantine and the degradation log accumulate across queries
-  /// until the extension (or the retry budget) changes.
+  /// Stats and quarantine accumulate across queries until the extension
+  /// (or the retry budget) changes.
   lcdb::QuerySession* QueryEngine() {
     if (!RebuildExtension()) return nullptr;
     if (qsession == nullptr) {
@@ -297,14 +297,6 @@ void CmdShowSession(const Session& session) {
   const lcdb::QuerySession& qs = *session.qsession;
   std::printf("  stats      %s\n", qs.stats().ToString().c_str());
   std::printf("  retries    %zu per query\n", session.retries);
-  if (qs.degradation_log().empty()) {
-    std::printf("  ladder     intact (no degradations)\n");
-  } else {
-    for (const lcdb::DegradationStep& step : qs.degradation_log()) {
-      std::printf("  degraded   %s (attempt %zu)\n", step.rung.c_str(),
-                  step.attempt);
-    }
-  }
   const lcdb::MetricsSnapshot metrics = qs.Metrics();
   auto last = metrics.labels.find("session.last_failure_class");
   std::printf("  last class %s\n",
@@ -399,7 +391,7 @@ void CmdSet(Session& session, const std::string& args) {
     }
     session.retries = static_cast<size_t>(n);
     // The retry budget is baked into the QuerySession at construction;
-    // rebuild it (stats reset too — the old ladder no longer applies).
+    // rebuild it (stats reset too).
     session.qsession.reset();
     std::printf("ok\n");
     return;
@@ -580,7 +572,7 @@ int main() {
             "                          '\\set failpoint off' disarms all\n"
             "  \\show limits            print the budgets in effect\n"
             "  \\show cache             lemma-db occupancy, tiers, hit rates\n"
-            "  \\show session           retry/resume/degradation telemetry\n"
+            "  \\show session           retry/resume/quarantine telemetry\n"
             "  \\show recent            flight-recorder tail, one line/query\n"
             "  \\show profile           sampled per-op latency percentiles\n"
             "  quit\n");

@@ -117,8 +117,7 @@ uint64_t Evaluator::ResumeFingerprint(const FormulaNode& query) const {
   // is determined by the query text plus the backend-selection options:
   // plan vs legacy walk (use_bytecode forces the plan path) and optimized
   // vs raw plan. memoize and the tree-vs-VM choice do not move sites — both
-  // plan backends execute the same plan nodes and share its numbering, so a
-  // token survives a VM -> tree-walk degradation step.
+  // plan backends execute the same plan nodes and share its numbering.
   std::string key = query.ToString();
   key += (options_.use_plan || options_.use_bytecode) ? "|plan" : "|walk";
   key += options_.optimize ? "|opt" : "|raw";
@@ -398,11 +397,12 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
 Status Evaluator::CompilePlan(const FormulaNode& query, const TypeInfo& info,
                               CompiledPlan* plan, PlanCostReport* cost,
                               QueryRecord* record) {
-  // The optimize phase column covers the pass pipeline, the tier-2 cost
-  // pass and verification.
+  // The optimize phase column covers the pass pipeline and the tier-2 cost
+  // pass; verification has its own.
   uint64_t* build_ns = record != nullptr ? &record->plan_build_ns : nullptr;
   uint64_t* optimize_ns =
       record != nullptr ? &record->plan_optimize_ns : nullptr;
+  uint64_t* verify_ns = record != nullptr ? &record->verify_ns : nullptr;
   {
     TraceSpan build_span("plan.build", build_ns);
     *plan = BuildPlan(query, info, ext_);
@@ -433,7 +433,7 @@ Status Evaluator::CompilePlan(const FormulaNode& query, const TypeInfo& info,
   // violation here is an optimizer/planner bug surfacing as a clean LCDB012
   // kInternal instead of undefined executor behaviour downstream.
   if (!options_.verify) return Status::Ok();
-  TraceSpan verify_span("plan.verify", optimize_ns);
+  TraceSpan verify_span("plan.verify", verify_ns);
   Status verified = VerifyPlan(
       *plan, options_.optimize ? "after plan.optimize" : "after plan.build",
       &stats_.verify);

@@ -235,14 +235,6 @@ class Evaluator {
   const RegionExtension& extension() const { return ext_; }
 
   const Options& options() const { return options_; }
-  /// Degradation hook for QuerySession (engine/session.h): lets the retry
-  /// ladder flip backend knobs (use_bytecode, memoize) between attempts on
-  /// *this* evaluator, because resume tokens are scoped to the instance.
-  /// ResumeFingerprint deliberately treats the VM and the tree executor as
-  /// one backend, so a checkpoint taken on the VM replays after a
-  /// vm->tree degradation; flipping use_plan or optimize instead changes
-  /// the fingerprint and invalidates outstanding tokens.
-  Options& mutable_options() { return options_; }
 
  private:
   using RegionEnv = std::map<std::string, size_t>;

@@ -1,5 +1,6 @@
 #include "db/io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <fstream>
@@ -11,6 +12,20 @@
 namespace lcdb {
 
 namespace {
+
+/// The variable names ParseDnf lexes: [A-Za-z_][A-Za-z0-9_]*.
+bool IsIdentifier(std::string_view s) {
+  if (s.empty() ||
+      !(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_')) {
+    return false;
+  }
+  for (char c : s) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') {
+      return false;
+    }
+  }
+  return true;
+}
 
 Status ParseHeader(std::string_view line, std::string* name,
                    std::vector<std::string>* vars) {
@@ -34,6 +49,14 @@ Status ParseHeader(std::string_view line, std::string* name,
     std::string trimmed(StripWhitespace(v));
     if (trimmed.empty()) {
       return Status::ParseError("empty variable name in header");
+    }
+    if (!IsIdentifier(trimmed)) {
+      return Status::ParseError("variable name '" + trimmed +
+                                "' in header is not an identifier");
+    }
+    if (std::find(vars->begin(), vars->end(), trimmed) != vars->end()) {
+      return Status::ParseError("variable '" + trimmed +
+                                "' repeats in header");
     }
     vars->push_back(std::move(trimmed));
   }

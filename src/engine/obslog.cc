@@ -143,6 +143,7 @@ std::string QueryRecord::ToJson() const {
   AppendField(out, "analyze", analyze_ns, &pf);
   AppendField(out, "plan_build", plan_build_ns, &pf);
   AppendField(out, "plan_optimize", plan_optimize_ns, &pf);
+  AppendField(out, "verify", verify_ns, &pf);
   AppendField(out, "execute", execute_ns, &pf);
   AppendField(out, "total", total_ns, &pf);
   out += "},\"governor\":{";
@@ -257,7 +258,7 @@ std::atomic<int> g_active_flight_recorders{0};
 }  // namespace internal
 
 std::string PostmortemBundle::ToJson() const {
-  std::string out = "{\"schema\":\"lcdb.postmortem.v1\"";
+  std::string out = "{\"schema\":\"lcdb.postmortem.v2\"";
   bool first = false;
   AppendField(out, "query_hash", query_hash, &first);
   AppendField(out, "query", query_text, &first);
@@ -268,12 +269,6 @@ std::string PostmortemBundle::ToJson() const {
   AppendField(out, "attempts", attempts, &first);
   AppendField(out, "retries", retries, &first);
   AppendField(out, "resumes", resumes, &first);
-  out += ",\"ladder\":[";
-  for (size_t i = 0; i < ladder.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + JsonEscape(ladder[i]) + "\"";
-  }
-  out += "]";
   AppendField(out, "trace", span_tree, &first);
   // The metrics delta is already flat JSON; splice it in verbatim.
   out += ",\"metrics\":";

@@ -22,7 +22,7 @@ enum class FailureClass {
   kInvalid,    ///< bad input (parse/type/argument): no retry can help
   kResource,   ///< budget or deadline trip: escalate + resume and retry
   kCancelled,  ///< external cancel: never retried, never quarantined
-  kFault,      ///< internal/unsupported: engine fault; retry a rung lower
+  kFault,      ///< internal/unsupported: engine fault; never retried
 };
 
 FailureClass ClassifyFailure(const Status& status);
@@ -54,8 +54,9 @@ struct QueryRecord {
   uint64_t typecheck_ns = 0;
   uint64_t analyze_ns = 0;
   uint64_t plan_build_ns = 0;
-  /// plan.optimize + plan.cost + plan.verify
+  /// plan.optimize + plan.cost
   uint64_t plan_optimize_ns = 0;
+  uint64_t verify_ns = 0;   ///< plan.verify
   uint64_t execute_ns = 0;  ///< plan.execute or legacy.walk
   uint64_t total_ns = 0;    ///< its own bracket, around the whole call
 
@@ -76,7 +77,7 @@ struct QueryRecord {
   std::string status_code = "ok";  ///< StatusCodeName of the final status
   uint64_t resume_token = 0;  ///< checkpoint carried by a resource failure
 
-  // Session context, annotated by QuerySession after the ladder finishes;
+  // Session context, annotated by QuerySession after its last attempt;
   // zeros for bare Evaluator use.
   uint64_t retries = 0;
   uint64_t resumes = 0;
@@ -89,7 +90,7 @@ struct QueryRecord {
 /// The query flight recorder: a bounded, mutex-guarded ring of the most
 /// recent QueryRecords. Install with ScopedFlightRecorder; the Evaluator
 /// appends one record per Evaluate call automatically, and QuerySession
-/// annotates the final attempt's record with ladder context. The disabled
+/// annotates the final attempt's record with retry context. The disabled
 /// path (no recorder installed process-wide) costs one relaxed atomic load
 /// per query, the failpoint/tracer contract.
 ///
@@ -115,7 +116,7 @@ class QueryFlightRecorder {
 
   /// Rewrites session-level fields of the most recently appended record —
   /// QuerySession's hook: retries/resumes/final outcome are only known
-  /// after the ladder finished, i.e. after the last attempt appended.
+  /// after the retries finished, i.e. after the last attempt appended.
   /// No-op on an empty ring.
   void AnnotateLast(uint64_t retries, uint64_t resumes,
                     const std::string& outcome, bool sampled);
@@ -171,8 +172,8 @@ inline QueryFlightRecorder* ActiveFlightRecorderOrNull() {
 }
 
 /// Everything needed to diagnose one failed query after the fact, bundled
-/// as a single JSON document (`lcdb.postmortem.v1`): the failing status and
-/// its classification, the session ladder's history, the resume-token
+/// as a single JSON document (`lcdb.postmortem.v2`): the failing status and
+/// its classification, the attempt/retry/resume counts, the resume-token
 /// state, the last attempt's span tree, the metrics delta of the call and
 /// the flight recorder's tail for cross-query context.
 struct PostmortemBundle {
@@ -185,7 +186,6 @@ struct PostmortemBundle {
   uint64_t attempts = 0;       ///< evaluator runs this call
   uint64_t retries = 0;
   uint64_t resumes = 0;
-  std::vector<std::string> ladder;  ///< rungs dropped, "rung@attempt"
   std::string span_tree;     ///< QueryTracer::ToTreeString, "" if untraced
   std::string metrics_json;  ///< flat metrics JSON of the call, "{}" if none
   std::vector<QueryRecord> flight_tail;  ///< recorder tail at failure time

@@ -17,19 +17,21 @@ bool ContinuousProfiler::ShouldSample() {
 }
 
 void ContinuousProfiler::RecordQuery(uint64_t total_ns, bool failed,
-                                     const QueryTracer* tracer) {
+                                     const QueryTracer* tracer,
+                                     uint64_t after_span) {
   registry_.Observe("profile.query.total_ns", total_ns);
   if (tracer == nullptr) return;
   tracer->VisitCompletedSpans(
       [&](const std::string& name, uint64_t dur_ns) {
         registry_.Observe("profile.op." + name, dur_ns);
-      });
+      },
+      after_span);
   if (failed || IsSlowTail(total_ns)) {
     RetainedTrace trace;
     trace.query_index = queries_;
     trace.total_ns = total_ns;
     trace.failed = failed;
-    trace.tree = tracer->ToTreeString();
+    trace.tree = tracer->ToTreeString(false, after_span);
     Retain(std::move(trace));
   }
 }

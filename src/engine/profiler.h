@@ -51,8 +51,11 @@ class ContinuousProfiler {
   /// threshold, sampled or not). When `tracer` is non-null — a sampled
   /// query — each completed span folds into profile.op.<name> and the span
   /// tree is retained if the query failed or its latency reached the
-  /// slowest decile of everything seen so far.
-  void RecordQuery(uint64_t total_ns, bool failed, const QueryTracer* tracer);
+  /// slowest decile of everything seen so far. Only spans with an id above
+  /// `after_span` (QueryTracer::spans_begun() before the query) count, so a
+  /// tracer shared with the caller contributes just this query's spans.
+  void RecordQuery(uint64_t total_ns, bool failed, const QueryTracer* tracer,
+                   uint64_t after_span = 0);
 
   /// A span tree the tail policy decided to keep.
   struct RetainedTrace {

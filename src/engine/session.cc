@@ -1,5 +1,6 @@
 #include "engine/session.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -10,13 +11,14 @@ namespace lcdb {
 
 namespace {
 
-/// Budget multiplication that saturates at kUnlimited instead of wrapping.
-uint64_t Escalate(uint64_t value, uint64_t factor) {
-  if (value == GovernorLimits::kUnlimited || factor <= 1) return value;
-  if (value > GovernorLimits::kUnlimited / factor) {
+/// Multiplies a budget by kBudgetEscalation, saturating at kUnlimited
+/// (which therefore stays unlimited) instead of wrapping.
+uint64_t Escalate(uint64_t value) {
+  constexpr uint64_t f = QuerySession::kBudgetEscalation;
+  if (value > GovernorLimits::kUnlimited / f) {
     return GovernorLimits::kUnlimited;
   }
-  return value * factor;
+  return value * f;
 }
 
 bool AnyFinite(const GovernorLimits& limits) {
@@ -25,6 +27,16 @@ bool AnyFinite(const GovernorLimits& limits) {
          limits.max_simplex_pivots != u ||
          limits.max_fixpoint_iterations != u || limits.max_tuple_space != u ||
          limits.max_dnf_disjuncts != u || limits.max_bigint_bits != u;
+}
+
+void EscalateBudgets(GovernorLimits& l) {
+  l.wall_clock_ms = Escalate(l.wall_clock_ms);
+  l.max_feasibility_queries = Escalate(l.max_feasibility_queries);
+  l.max_simplex_pivots = Escalate(l.max_simplex_pivots);
+  l.max_fixpoint_iterations = Escalate(l.max_fixpoint_iterations);
+  l.max_tuple_space = Escalate(l.max_tuple_space);
+  l.max_dnf_disjuncts = Escalate(l.max_dnf_disjuncts);
+  l.max_bigint_bits = Escalate(l.max_bigint_bits);
 }
 
 }  // namespace
@@ -37,7 +49,6 @@ std::string SessionStats::ToString() const {
   out += " attempts=" + std::to_string(attempts);
   out += " retries=" + std::to_string(retries);
   out += " resumes=" + std::to_string(resumes);
-  out += " degradations=" + std::to_string(degradations);
   out += " budget_escalations=" + std::to_string(budget_escalations);
   out += " quarantined=" + std::to_string(quarantined);
   out += " quarantine_rejections=" + std::to_string(quarantine_rejections);
@@ -57,101 +68,36 @@ QuerySession::QuerySession(const RegionExtension& extension,
   }
 }
 
-QuerySession::LadderState QuerySession::InitialLadder(
-    bool force_trace) const {
-  LadderState ladder;
-  ladder.kernel = options_.kernel;
-  ladder.limits = options_.limits;
-  ladder.trace = options_.trace || force_trace;
-  // The fixed drop order DESIGN.md documents: shed the newest/most
-  // speculative machinery first, the answer-preserving basics last.
-  if (options_.eval.use_bytecode) ladder.rungs.push_back("vm->tree");
-  if (ladder.kernel.memoize) ladder.rungs.push_back("memoize->off");
-  if (ladder.trace) ladder.rungs.push_back("trace->off");
-  return ladder;
-}
-
-bool QuerySession::Degrade(LadderState& ladder, Evaluator& evaluator,
-                           size_t attempt) {
-  if (ladder.rungs.empty()) return false;
-  const std::string rung = ladder.rungs.front();
-  ladder.rungs.erase(ladder.rungs.begin());
-  if (rung == "vm->tree") {
-    // Same evaluator: resume tokens are instance-scoped, and the resume
-    // fingerprint treats VM and tree walk as one backend, so an in-flight
-    // checkpoint replays on the tree side (core/resume.h).
-    evaluator.mutable_options().use_bytecode = false;
-  } else if (rung == "memoize->off") {
-    ladder.kernel.memoize = false;
-  } else if (rung == "trace->off") {
-    ladder.trace = false;
-  }
-  ladder.resource_failures_at_rung = 0;
-  ++stats_.degradations;
-  degradation_log_.push_back(DegradationStep{rung, attempt});
-  return true;
-}
-
-void QuerySession::EscalateBudgets(LadderState& ladder) {
-  const uint64_t f = options_.budget_escalation;
-  if (f <= 1 || !AnyFinite(ladder.limits)) return;
-  GovernorLimits& l = ladder.limits;
-  l.wall_clock_ms = Escalate(l.wall_clock_ms, f);
-  l.max_feasibility_queries = Escalate(l.max_feasibility_queries, f);
-  l.max_simplex_pivots = Escalate(l.max_simplex_pivots, f);
-  l.max_fixpoint_iterations = Escalate(l.max_fixpoint_iterations, f);
-  l.max_tuple_space = Escalate(l.max_tuple_space, f);
-  l.max_dnf_disjuncts = Escalate(l.max_dnf_disjuncts, f);
-  l.max_bigint_bits = Escalate(l.max_bigint_bits, f);
-  ++stats_.budget_escalations;
-}
-
 void QuerySession::RecordDeterministicFailure(const std::string& key) {
   ++stats_.failures;
   const size_t streak = ++failure_streaks_[key];
-  if (options_.quarantine_threshold > 0 &&
-      streak >= options_.quarantine_threshold &&
-      quarantine_.insert(key).second) {
+  if (streak >= kQuarantineThreshold && quarantine_.insert(key).second) {
     ++stats_.quarantined;
   }
 }
 
-Result<QueryAnswer> QuerySession::RunLadder(const FormulaNode& query,
-                                            const std::string& key,
-                                            std::string_view source,
-                                            bool force_trace) {
-  LadderState ladder = InitialLadder(force_trace);
-  // Untraced call: drop the previous call's tracer so the tracer() /
-  // post-mortem surfaces never serve a stale span tree as this call's.
-  if (!ladder.trace) tracer_.reset();
+Result<QueryAnswer> QuerySession::RunAttempts(const FormulaNode& query,
+                                              const std::string& key,
+                                              std::string_view source,
+                                              const QueryTracer* tracer,
+                                              uint64_t* span_base) {
   Evaluator::Options eval_options = options_.eval;
-  if (options_.use_resume) eval_options.capture_resume = true;
+  eval_options.capture_resume = true;
   // One evaluator spans every attempt of this call: resume tokens are
-  // scoped to the instance, and the vm->tree rung flips its options in
-  // place so checkpoints survive the drop.
+  // scoped to the instance.
   Evaluator evaluator(ext_, eval_options);
   evaluator.AttachSource(std::string(source));
+  GovernorLimits limits = options_.limits;
 
   uint64_t resume_token = 0;
-  Status last;
   for (size_t attempt = 0;; ++attempt) {
     ++stats_.attempts;
-    // Fresh kernel per attempt: a degraded rung must not serve verdicts
-    // cached by the configuration that just failed. The shared lemma store
-    // (when configured) survives on purpose — its verdicts are
-    // backend-independent.
-    ConstraintKernel kernel(ladder.kernel, options_.lemmas);
-    ScopedKernel scoped_kernel(kernel);
-    std::unique_ptr<QueryGovernor> governor;
-    std::unique_ptr<ScopedGovernor> scoped_governor;
-    if (AnyFinite(ladder.limits)) {
-      governor = std::make_unique<QueryGovernor>(ladder.limits);
-      scoped_governor = std::make_unique<ScopedGovernor>(*governor);
-    }
-    std::unique_ptr<ScopedTracer> scoped_tracer;
-    if (ladder.trace) {
-      tracer_ = std::make_unique<QueryTracer>();
-      scoped_tracer = std::make_unique<ScopedTracer>(*tracer_);
+    if (tracer != nullptr) *span_base = tracer->spans_begun();
+    std::optional<QueryGovernor> governor;
+    std::optional<ScopedGovernor> scoped_governor;
+    if (AnyFinite(limits)) {
+      governor.emplace(limits);
+      scoped_governor.emplace(*governor);
     }
 
     auto answer = evaluator.Evaluate(query, resume_token);
@@ -166,7 +112,7 @@ Result<QueryAnswer> QuerySession::RunLadder(const FormulaNode& query,
       return answer;
     }
 
-    last = answer.status();
+    const Status& last = answer.status();
     const FailureClass c = ClassifyFailure(last);
     last_failure_class_ = FailureClassName(c);
     if (c == FailureClass::kInvalid) {
@@ -177,29 +123,18 @@ Result<QueryAnswer> QuerySession::RunLadder(const FormulaNode& query,
       ++stats_.failures;
       return last;
     }
-    if (attempt >= options_.max_retries) break;
-    if (c == FailureClass::kResource) {
-      ++ladder.resource_failures_at_rung;
-      EscalateBudgets(ladder);
-      if (options_.use_resume && last.resume_token() != 0) {
-        resume_token = last.resume_token();
-        ++stats_.resumes;
-      }
-      // Escalation alone did not save the previous retry at this rung:
-      // suspect the backend, not just the budget, and shed a rung too.
-      if (ladder.resource_failures_at_rung >= 2) {
-        Degrade(ladder, evaluator, attempt);
-      }
-      ++stats_.retries;
-      continue;
+    if (c != FailureClass::kResource || attempt >= options_.max_retries) {
+      RecordDeterministicFailure(key);
+      return last;
     }
-    // kFault: the configuration is suspect; retry only with less of it.
-    if (!Degrade(ladder, evaluator, attempt)) break;
+    if (AnyFinite(limits)) {
+      EscalateBudgets(limits);
+      ++stats_.budget_escalations;
+    }
+    resume_token = last.resume_token();
+    if (resume_token != 0) ++stats_.resumes;
     ++stats_.retries;
   }
-
-  RecordDeterministicFailure(key);
-  return last;
 }
 
 Result<QueryAnswer> QuerySession::Evaluate(std::string_view query_text) {
@@ -208,10 +143,20 @@ Result<QueryAnswer> QuerySession::Evaluate(std::string_view query_text) {
   // decision (made before the query runs) and the counter baselines whose
   // deltas annotate the flight record and the post-mortem bundle.
   const bool sampled = profiler_ != nullptr && profiler_->ShouldSample();
+  // A sampled call records into the caller's tracer when one is installed,
+  // so the caller's trace keeps the query's spans; otherwise it installs a
+  // tracer of its own for the call.
+  QueryTracer* tracer = ActiveTracerOrNull();
+  std::optional<QueryTracer> own_tracer;
+  std::optional<ScopedTracer> scoped_tracer;
+  if (sampled && tracer == nullptr) {
+    tracer = &own_tracer.emplace();
+    scoped_tracer.emplace(*tracer);
+  }
+  uint64_t span_base = 0;  // spans_begun() when the last attempt started
   const uint64_t attempts_before = stats_.attempts;
   const uint64_t retries_before = stats_.retries;
   const uint64_t resumes_before = stats_.resumes;
-  const size_t ladder_log_before = degradation_log_.size();
   QueryFlightRecorder* recorder = ActiveFlightRecorderOrNull();
   const uint64_t appended_before =
       recorder != nullptr ? recorder->appended() : 0;
@@ -223,9 +168,9 @@ Result<QueryAnswer> QuerySession::Evaluate(std::string_view query_text) {
     const bool attempted = stats_.attempts > attempts_before;
     const char* outcome = FailureClassName(ClassifyFailure(status));
     if (profiler_ != nullptr) {
-      profiler_->RecordQuery(
-          total_ns, !status.ok(),
-          (sampled && attempted) ? tracer_.get() : nullptr);
+      profiler_->RecordQuery(total_ns, !status.ok(),
+                             (sampled && attempted) ? tracer : nullptr,
+                             span_base);
     }
     if (recorder != nullptr) {
       if (recorder->appended() == appended_before) {
@@ -248,7 +193,10 @@ Result<QueryAnswer> QuerySession::Evaluate(std::string_view query_text) {
       WritePostmortem(query_text, status,
                       stats_.attempts - attempts_before,
                       stats_.retries - retries_before,
-                      stats_.resumes - resumes_before, ladder_log_before,
+                      stats_.resumes - resumes_before,
+                      (attempted && tracer != nullptr)
+                          ? tracer->ToTreeString(false, span_base)
+                          : std::string(),
                       attempted);
     }
   };
@@ -269,7 +217,7 @@ Result<QueryAnswer> QuerySession::Evaluate(std::string_view query_text) {
     finish(parsed.status());
     return parsed.status();
   }
-  auto answer = RunLadder(**parsed, key, query_text, sampled);
+  auto answer = RunAttempts(**parsed, key, query_text, tracer, &span_base);
   finish(answer.ok() ? Status::Ok() : answer.status());
   return answer;
 }
@@ -277,8 +225,7 @@ Result<QueryAnswer> QuerySession::Evaluate(std::string_view query_text) {
 void QuerySession::WritePostmortem(std::string_view query_text,
                                    const Status& status, uint64_t attempts,
                                    uint64_t retries, uint64_t resumes,
-                                   size_t ladder_log_before,
-                                   bool attempted) {
+                                   std::string span_tree, bool attempted) {
   PostmortemBundle bundle;
   bundle.query_hash = StableHash64(std::string(query_text));
   bundle.query_text = std::string(query_text);
@@ -289,13 +236,7 @@ void QuerySession::WritePostmortem(std::string_view query_text,
   bundle.attempts = attempts;
   bundle.retries = retries;
   bundle.resumes = resumes;
-  for (size_t i = ladder_log_before; i < degradation_log_.size(); ++i) {
-    bundle.ladder.push_back(degradation_log_[i].rung + "@" +
-                            std::to_string(degradation_log_[i].attempt));
-  }
-  if (attempted && tracer_ != nullptr) {
-    bundle.span_tree = tracer_->ToTreeString();
-  }
+  bundle.span_tree = std::move(span_tree);
   // The metrics delta vs query start: last_eval_metrics_ is exactly the
   // final attempt's evaluator families (each Evaluate resets its per-query
   // stats), so no subtraction is needed here.
@@ -337,7 +278,6 @@ MetricsSnapshot QuerySession::Metrics() const {
   registry.Count("session.attempts", stats_.attempts);
   registry.Count("session.retries", stats_.retries);
   registry.Count("session.resumes", stats_.resumes);
-  registry.Count("session.degradations", stats_.degradations);
   registry.Count("session.budget_escalations", stats_.budget_escalations);
   registry.Gauge("session.quarantined", stats_.quarantined);
   registry.Count("session.quarantine_rejections",

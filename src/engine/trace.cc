@@ -145,41 +145,41 @@ std::string QueryTracer::ToChromeTraceJson() const {
   };
   // Begin order (= id order) keeps parents before children, which Perfetto
   // prefers for nesting reconstruction of same-timestamp spans.
-  std::vector<const Span*> ordered;
-  ordered.reserve(completed_.size());
-  for (const Span& span : completed_) ordered.push_back(&span);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Span* a, const Span* b) { return a->id < b->id; });
-  for (const Span* span : ordered) emit(*span);
+  for (const Span* span : CompletedInBeginOrder(0)) emit(*span);
   out += "],\"displayTimeUnit\":\"ns\",\"otherData\":{";
   out += "\"spans_dropped\":" + std::to_string(dropped_) + "}}";
   return out;
 }
 
-void QueryTracer::VisitCompletedSpans(
-    const std::function<void(const std::string&, uint64_t)>& visit) const {
+std::vector<const QueryTracer::Span*> QueryTracer::CompletedInBeginOrder(
+    uint64_t after_span) const {
   std::vector<const Span*> ordered;
   ordered.reserve(completed_.size());
-  for (const Span& span : completed_) ordered.push_back(&span);
+  for (const Span& span : completed_) {
+    if (span.id > after_span) ordered.push_back(&span);
+  }
   std::sort(ordered.begin(), ordered.end(),
             [](const Span* a, const Span* b) { return a->id < b->id; });
-  for (const Span* span : ordered) {
+  return ordered;
+}
+
+void QueryTracer::VisitCompletedSpans(
+    const std::function<void(const std::string&, uint64_t)>& visit,
+    uint64_t after_span) const {
+  for (const Span* span : CompletedInBeginOrder(after_span)) {
     const uint64_t dur_ns =
         span->end_ns >= span->start_ns ? span->end_ns - span->start_ns : 0;
     visit(span->name, dur_ns);
   }
 }
 
-std::string QueryTracer::ToTreeString(bool zero_timestamps) const {
-  std::vector<const Span*> ordered;
-  ordered.reserve(completed_.size());
-  for (const Span& span : completed_) ordered.push_back(&span);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Span* a, const Span* b) { return a->id < b->id; });
+std::string QueryTracer::ToTreeString(bool zero_timestamps,
+                                      uint64_t after_span) const {
+  const std::vector<const Span*> ordered = CompletedInBeginOrder(after_span);
   std::map<uint64_t, const Span*> by_id;
   for (const Span* span : ordered) by_id.emplace(span->id, span);
-  // Depth through *retained* ancestry: spans whose parents were dropped by
-  // the ring bound render as roots rather than being lost.
+  // Depth through *rendered* ancestry: spans whose parents were dropped by
+  // the ring bound, or begun before `after_span`, render as roots.
   auto depth_of = [&](const Span* span) {
     size_t depth = 0;
     for (uint64_t p = span->parent; p != 0;) {

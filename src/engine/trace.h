@@ -67,14 +67,19 @@ class QueryTracer {
   std::string ToChromeTraceJson() const;
   /// Indented tree of completed spans in begin order. With
   /// `zero_timestamps` the time columns are omitted entirely, leaving only
-  /// structure, names and counters — byte-stable across runs.
-  std::string ToTreeString(bool zero_timestamps = false) const;
+  /// structure, names and counters — byte-stable across runs. Only spans
+  /// with an id above `after_span` are rendered: ids count up from 1, so an
+  /// earlier spans_begun() selects the spans opened since.
+  std::string ToTreeString(bool zero_timestamps = false,
+                           uint64_t after_span = 0) const;
 
-  /// Visits every retained completed span as (name, inclusive duration ns)
-  /// in begin order — the continuous profiler's folding hook
-  /// (engine/profiler.h): per-op histograms need durations, not structure.
+  /// Visits every retained completed span with an id above `after_span` as
+  /// (name, inclusive duration ns) in begin order — the continuous
+  /// profiler's folding hook (engine/profiler.h): per-op histograms need
+  /// durations, not structure.
   void VisitCompletedSpans(
-      const std::function<void(const std::string&, uint64_t)>& visit) const;
+      const std::function<void(const std::string&, uint64_t)>& visit,
+      uint64_t after_span = 0) const;
 
  private:
   struct Span {
@@ -87,6 +92,8 @@ class QueryTracer {
   };
 
   uint64_t NowNs() const;
+  /// Retained completed spans with id > `after_span`, in begin (id) order.
+  std::vector<const Span*> CompletedInBeginOrder(uint64_t after_span) const;
 
   Options options_;  ///< normalized at construction (capacity >= 1)
   uint64_t epoch_ns_ = 0;     ///< steady_clock at construction

@@ -225,7 +225,7 @@ TEST_F(ChaosTest, ExtensionBuildInjection) {
 
 TEST_F(ChaosTest, SessionLevelSweep) {
   // The same storm through QuerySession: persistent injected faults must
-  // come back as the clean final Status of an exhausted ladder (with
+  // come back as the clean final Status of the call's last attempt (with
   // orderly session telemetry), and the session must serve the reference
   // answer immediately after the fault clears. Post-mortem contract: every
   // failed call under a configured postmortem_dir leaves a readable bundle.
@@ -245,7 +245,6 @@ TEST_F(ChaosTest, SessionLevelSweep) {
     SessionOptions options;
     options.eval.use_bytecode = (rng() % 2) == 0;
     options.max_retries = rng() % 3;
-    options.quarantine_threshold = 0;  // never quarantine inside the sweep
     options.postmortem_dir = postmortem_dir;
     options.profile.sample_every = 2;  // exercise the profiler under chaos
     QuerySession session(*c.ext, options);
@@ -267,7 +266,7 @@ TEST_F(ChaosTest, SessionLevelSweep) {
       std::stringstream buffer;
       buffer << in.rdbuf();
       const std::string bundle = buffer.str();
-      EXPECT_NE(bundle.find("\"schema\":\"lcdb.postmortem.v1\""),
+      EXPECT_NE(bundle.find("\"schema\":\"lcdb.postmortem.v2\""),
                 std::string::npos);
       EXPECT_NE(bundle.find("chaos-injected"), std::string::npos);
     } else {

@@ -174,7 +174,7 @@ TEST(ObsLogTest, EvaluatorAppendsOneRecordPerCall) {
   EXPECT_GT(r.total_ns, 0u);
   // Phase timings sit inside the total.
   EXPECT_LE(r.typecheck_ns + r.plan_build_ns + r.plan_optimize_ns +
-                r.execute_ns,
+                r.verify_ns + r.execute_ns,
             r.total_ns);
 
   // A typecheck rejection still appends — outcome invalid, no plan.
@@ -191,7 +191,7 @@ TEST(ObsLogTest, EvaluatorAppendsOneRecordPerCall) {
 TEST(ObsLogTest, PhaseColumnsAreTheSpanDurations) {
   // The spans are the one clock: with a tracer installed, each phase column
   // of the record is exactly the duration the tracer recorded for its span
-  // (plan_optimize is the optimize, cost and verify spans together).
+  // (plan_optimize is the optimize and cost spans together).
   auto ext = TinyExtension();
   auto parsed = ParseQuery("exists x . (S(x) & x > 2)", "S");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -214,12 +214,13 @@ TEST(ObsLogTest, PhaseColumnsAreTheSpanDurations) {
   EXPECT_EQ(r.typecheck_ns, span_ns.at("typecheck"));
   EXPECT_EQ(r.analyze_ns, span_ns.at("analyze"));
   EXPECT_EQ(r.plan_build_ns, span_ns.at("plan.build"));
-  EXPECT_EQ(r.plan_optimize_ns, span_ns.at("plan.optimize") +
-                                    span_ns.at("plan.cost") +
-                                    span_ns.at("plan.verify"));
+  EXPECT_EQ(r.plan_optimize_ns,
+            span_ns.at("plan.optimize") + span_ns.at("plan.cost"));
+  EXPECT_EQ(r.verify_ns, span_ns.at("plan.verify"));
+  EXPECT_GT(r.verify_ns, 0u);
   EXPECT_EQ(r.execute_ns, span_ns.at("plan.execute"));
   EXPECT_LE(r.typecheck_ns + r.analyze_ns + r.plan_build_ns +
-                r.plan_optimize_ns + r.execute_ns,
+                r.plan_optimize_ns + r.verify_ns + r.execute_ns,
             r.total_ns);
 }
 
@@ -302,7 +303,6 @@ TEST(ObsLogTest, PostmortemWriterIsABoundedRing) {
   b.status_code = "internal";
   b.status_message = "boom";
   b.failure_class = "fault";
-  b.ladder.push_back("vm->tree@1");
   for (int i = 0; i < 3; ++i) {
     auto path = writer.Write(b);
     ASSERT_TRUE(path.ok()) << path.status().ToString();
@@ -322,11 +322,11 @@ TEST(ObsLogTest, PostmortemWriterIsABoundedRing) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string json = buffer.str();
-  EXPECT_NE(json.find("\"schema\":\"lcdb.postmortem.v1\""),
+  EXPECT_NE(json.find("\"schema\":\"lcdb.postmortem.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos)  // escaped
       << json;
-  EXPECT_NE(json.find("\"ladder\":[\"vm->tree@1\"]"), std::string::npos);
+  EXPECT_EQ(json.find("\"ladder\""), std::string::npos);
 }
 
 TEST(ObsLogTest, SessionSamplesExactlyEveryNthQuery) {
@@ -351,6 +351,29 @@ TEST(ObsLogTest, SessionSamplesExactlyEveryNthQuery) {
   const MetricsSnapshot metrics = session.Metrics();
   EXPECT_EQ(metrics.values.at("profile.sampled"), 3u);
   EXPECT_GT(metrics.histograms.at("profile.op.plan.execute").count, 0u);
+}
+
+TEST(ObsLogTest, SampledQueryRecordsIntoTheCallersTracer) {
+  // A sampled call must not shadow an installed tracer: the query's spans
+  // land in the caller's trace, and the profiler folds only those spans,
+  // not the ones the caller opened before the call.
+  auto ext = TinyExtension();
+  QueryTracer tracer;
+  ScopedTracer scoped_tracer(tracer);
+  { TraceSpan before("caller.setup"); }
+  SessionOptions options;
+  options.profile.sample_every = 1;
+  QuerySession session(*ext, options);
+  auto answer = session.Evaluate("exists x . (S(x) & x > 2)");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  std::map<std::string, uint64_t> spans;
+  tracer.VisitCompletedSpans(
+      [&](const std::string& name, uint64_t) { ++spans[name]; });
+  EXPECT_EQ(spans["caller.setup"], 1u);
+  EXPECT_EQ(spans["evaluate"], 1u);
+  const MetricsSnapshot metrics = session.Metrics();
+  EXPECT_EQ(metrics.histograms.at("profile.op.evaluate").count, 1u);
+  EXPECT_EQ(metrics.histograms.count("profile.op.caller.setup"), 0u);
 }
 
 TEST(ObsLogTest, SessionWritesABundlePerFailedCall) {
@@ -379,7 +402,7 @@ TEST(ObsLogTest, SessionWritesABundlePerFailedCall) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string json = buffer.str();
-  EXPECT_NE(json.find("\"schema\":\"lcdb.postmortem.v1\""),
+  EXPECT_NE(json.find("\"schema\":\"lcdb.postmortem.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"failure_class\":\"invalid\""), std::string::npos);
   EXPECT_NE(json.find("\"flight_tail\""), std::string::npos);

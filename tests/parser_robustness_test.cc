@@ -91,6 +91,11 @@ TEST(ParserRobustnessTest, DatabaseFilesMalformed) {
       "relation S(x) extra\nformula x < 1",
       "formula x < 1\nrelation S(x)",
       "relation S(x)\nrelation T(y)\nformula x < 1",
+      // Header variables are distinct identifiers, as ParseDnf lexes them:
+      // a repeat would bind every occurrence to its first column, and a
+      // numeral would read as a constant in the formula.
+      "relation S(x, x)\nformula x > 0",
+      "relation S(2)\nformula 2 > 0",
   };
   for (const char* text : kBad) {
     auto r = LoadDatabaseFromString(text);

@@ -424,35 +424,6 @@ TEST(PlanEquivalenceTest, ResumeRestoresCompletedFixpoints) {
   }
 }
 
-TEST(PlanEquivalenceTest, ResumeSurvivesVmToTreeDegradation) {
-  // The QuerySession's vm->tree rung: a checkpoint captured on the VM must
-  // replay on the tree executor (site keys are shared plan ordinals and the
-  // resume fingerprint treats the two as one backend).
-  ConstraintDatabase db = MakeComb(2, true);
-  auto ext = MakeArrangementExtension(db);
-  auto query = ParseQuery(RegionConnQueryText(), db.relation_name());
-  ASSERT_TRUE(query.ok());
-  Evaluator::Options tree_options;
-  Evaluator tree_reference(*ext, tree_options);
-  auto reference = tree_reference.Evaluate(**query);
-  ASSERT_TRUE(reference.ok());
-  Evaluator::Options options;
-  options.use_bytecode = true;
-  Evaluator evaluator(*ext, options);
-  ArmFailpoint("fixpoint.stage", StatusCode::kResourceExhausted,
-               "injected stage interrupt", 1);
-  auto interrupted = evaluator.Evaluate(**query);
-  DisarmAllFailpoints();
-  ASSERT_FALSE(interrupted.ok());
-  const uint64_t token = interrupted.status().resume_token();
-  ASSERT_NE(token, 0u);
-  evaluator.mutable_options().use_bytecode = false;  // degrade to the tree
-  auto resumed = evaluator.Evaluate(**query, token);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->ToString(), reference->ToString());
-  EXPECT_GT(evaluator.stats().resume_fixpoints_resumed, 0u);
-}
-
 TEST(PlanEquivalenceTest, ResumeTokenValidation) {
   // Tokens are single-use, instance-scoped and query-bound: replay, cross-
   // query use and unknown tokens are clean argument errors.

@@ -1,9 +1,12 @@
 # End-to-end check of `lcdbq --trace=out.json`: runs a traced, governed
 # query, then asserts the trace file is a well-formed Chrome trace-event
-# JSON object with the expected spans. Invoked by the LcdbqTrace ctest
-# (examples/CMakeLists.txt) with -DLCDBQ=... -DDB=... -DTRACE=...
+# JSON object with the expected spans. Invoked by the LcdbqTrace ctests
+# (examples/CMakeLists.txt) with -DLCDBQ=... -DDB=... -DTRACE=... and an
+# optional -DEXTRA_ARG=... (LcdbqTraceSampled passes --sample-rate=1: a
+# sampled query must still record into the --trace tracer).
 execute_process(
   COMMAND ${LCDBQ} ${DB} --conn --stats --timeout 60000 --trace=${TRACE}
+          ${EXTRA_ARG}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
@@ -38,6 +41,12 @@ foreach(span extension.build arrangement.build evaluate fixpoint.stage)
     message(FATAL_ERROR "trace lacks the ${span} span:\n${trace}")
   endif()
 endforeach()
+# The query ran once: exactly one evaluate span.
+string(REGEX MATCHALL "\"name\":\"evaluate\"" evaluate_spans "${trace}")
+list(LENGTH evaluate_spans evaluate_count)
+if(NOT evaluate_count EQUAL 1)
+  message(FATAL_ERROR "expected 1 evaluate span, got ${evaluate_count}")
+endif()
 # Every event is a complete event with the mandatory fields.
 if(NOT trace MATCHES "\"cat\":\"lcdb\",\"ph\":\"X\"")
   message(FATAL_ERROR "trace lacks complete (ph=X) events")

@@ -1,10 +1,8 @@
-// QuerySession (engine/session.h): failure taxonomy, the deterministic
-// degradation ladder, bounded retries with budget escalation and
-// checkpoint/resume, the quarantine list, and the session.* metrics export.
-// Failpoints are *persistent* — once past skip_hits they fire on every
-// subsequent hit until disarmed — so an armed internal fault drives the
-// ladder all the way down, which is exactly what the ladder-order test
-// wants.
+// QuerySession (engine/session.h): failure taxonomy, bounded resource
+// retries with budget escalation and checkpoint/resume, the quarantine
+// list, and the session.* metrics export. Failpoints are *persistent* —
+// once past skip_hits they fire on every subsequent hit until disarmed —
+// so an armed fault fails every attempt a call could make.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +12,7 @@
 #include "core/queries.h"
 #include "db/workloads.h"
 #include "engine/governor.h"
+#include "engine/kernel.h"
 #include "engine/session.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -72,52 +71,48 @@ TEST_F(SessionTest, InvalidQueriesNeverRetry) {
   EXPECT_FALSE(session.IsQuarantined("S(x)"));
 }
 
-TEST_F(SessionTest, LadderDropsRungsInOrderOnPersistentFault) {
+TEST_F(SessionTest, FaultEndsAfterOneAttemptThenSessionRecovers) {
+  // An engine fault is not retried: the answer depends only on the query
+  // and the database, so a second attempt would reproduce it. Once the
+  // fault is disarmed the *same* session serves the query again — a failed
+  // call leaves no residue beyond its quarantine streak.
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   SessionOptions options;
-  options.eval.use_bytecode = true;
-  options.trace = true;
-  options.max_retries = 10;
-  options.quarantine_threshold = 100;
+  options.max_retries = 5;
   QuerySession session(*ext, options);
   ArmFailpoint("fixpoint.stage", StatusCode::kInternal, "injected fault");
-  auto answer = session.Evaluate(RegionConnQueryText());
-  ASSERT_FALSE(answer.ok());
-  EXPECT_EQ(answer.status().code(), StatusCode::kInternal);
-  // Every rung dropped, newest machinery first, then nothing left to shed.
-  const auto& log = session.degradation_log();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0].rung, "vm->tree");
-  EXPECT_EQ(log[1].rung, "memoize->off");
-  EXPECT_EQ(log[2].rung, "trace->off");
-  EXPECT_EQ(session.stats().degradations, 3u);
-  EXPECT_EQ(session.stats().retries, 3u);
-  EXPECT_EQ(session.stats().attempts, 4u);
-  EXPECT_EQ(session.stats().failures, 1u);
-}
-
-TEST_F(SessionTest, PersistentPlanFaultDegradesThenSessionRecovers) {
-  // A persistent fault at the plan-executor entry fails every attempt; the
-  // ladder still degrades in order (vm->tree first). Once the fault is
-  // disarmed the *same* session serves the query again — a failed call
-  // must leave no residue beyond its quarantine streak.
-  ConstraintDatabase db = MakeComb(2, true);
-  auto ext = MakeArrangementExtension(db);
-  SessionOptions options;
-  options.eval.use_bytecode = true;
-  options.quarantine_threshold = 100;
-  QuerySession session(*ext, options);
-  ArmFailpoint("plan.execute", StatusCode::kInternal, "injected fault");
   auto failed = session.Evaluate(RegionConnQueryText());
   ASSERT_FALSE(failed.ok());
-  EXPECT_GE(session.stats().degradations, 1u);
-  EXPECT_EQ(session.degradation_log().front().rung, "vm->tree");
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(session.stats().attempts, 1u);
+  EXPECT_EQ(session.stats().retries, 0u);
+  EXPECT_EQ(session.stats().failures, 1u);
   DisarmAllFailpoints();
-  // The fault gone, the same session answers again (no quarantine yet).
   auto truth = session.EvaluateSentence(RegionConnQueryText());
   ASSERT_TRUE(truth.ok()) << truth.status().ToString();
   EXPECT_TRUE(*truth);
+  EXPECT_EQ(session.stats().attempts, 2u);
+}
+
+TEST_F(SessionTest, RepeatedQueryReusesTheCallersKernel) {
+  // Attempts run under the caller's kernel, so a second identical query
+  // finds every verdict of the first cached.
+  ConstraintDatabase db = MakeComb(2, true);
+  auto ext = MakeArrangementExtension(db);
+  ConstraintKernel kernel;
+  ScopedKernel scoped_kernel(kernel);
+  QuerySession session(*ext);
+  const char* text = "exists y . S(x, y)";
+  auto first = session.Evaluate(text);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_GT(session.Metrics().values.at("kernel.oracle_calls"), 0u);
+  const uint64_t oracle_before = kernel.stats().oracle_calls;
+  auto second = session.Evaluate(text);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->ToString(), first->ToString());
+  EXPECT_EQ(kernel.stats().oracle_calls, oracle_before);
+  EXPECT_EQ(session.Metrics().values.at("kernel.oracle_calls"), 0u);
 }
 
 TEST_F(SessionTest, ResourceRetryEscalatesBudgetsAndResumes) {
@@ -128,18 +123,19 @@ TEST_F(SessionTest, ResourceRetryEscalatesBudgetsAndResumes) {
   ASSERT_TRUE(reference.ok());
   SessionOptions options;
   // A one-iteration budget trips inside the first Kleene loop; escalation
-  // (x4 per retry) plus resume (completed stages are never redone) must
-  // land the query within a few retries.
+  // plus resume (completed stages are never redone) must land the query
+  // within a few retries.
   options.limits.max_fixpoint_iterations = 1;
-  options.budget_escalation = 4;
   options.max_retries = 6;
   QuerySession session(*ext, options);
   auto truth = session.EvaluateSentence(RegionConnQueryText());
   ASSERT_TRUE(truth.ok()) << truth.status().ToString();
   EXPECT_EQ(*truth, *reference);
   EXPECT_EQ(session.stats().successes, 1u);
-  EXPECT_GT(session.stats().retries, 0u);
-  EXPECT_GT(session.stats().budget_escalations, 0u);
+  // The iteration budgets run 1, 2, 4, 8 (kBudgetEscalation == 2), and the
+  // fourth attempt lands.
+  EXPECT_EQ(session.stats().retries, 3u);
+  EXPECT_EQ(session.stats().budget_escalations, 3u);
   EXPECT_GT(session.stats().resumes, 0u);
 }
 
@@ -162,18 +158,17 @@ TEST_F(SessionTest, CancelledNeverRetries) {
 TEST_F(SessionTest, QuarantineAfterDeterministicFailures) {
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
-  SessionOptions options;
-  options.max_retries = 0;
-  options.quarantine_threshold = 2;
-  QuerySession session(*ext, options);
+  QuerySession session(*ext);
   const std::string text = RegionConnQueryText();
   ArmFailpoint("fixpoint.stage", StatusCode::kInternal, "injected fault");
-  EXPECT_FALSE(session.Evaluate(text).ok());
-  EXPECT_FALSE(session.IsQuarantined(text));
+  for (size_t i = 1; i < QuerySession::kQuarantineThreshold; ++i) {
+    EXPECT_FALSE(session.Evaluate(text).ok());
+    EXPECT_FALSE(session.IsQuarantined(text));
+  }
   EXPECT_FALSE(session.Evaluate(text).ok());
   EXPECT_TRUE(session.IsQuarantined(text));
   EXPECT_EQ(session.stats().quarantined, 1u);
-  // The third call is rejected without running an attempt.
+  // The next call is rejected without running an attempt.
   const uint64_t attempts_before = session.stats().attempts;
   auto rejected = session.Evaluate(text);
   ASSERT_FALSE(rejected.ok());
@@ -193,18 +188,19 @@ TEST_F(SessionTest, QuarantineAfterDeterministicFailures) {
 TEST_F(SessionTest, SuccessResetsFailureStreak) {
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
-  SessionOptions options;
-  options.max_retries = 0;
-  options.quarantine_threshold = 2;
-  QuerySession session(*ext, options);
+  QuerySession session(*ext);
   const std::string text = RegionConnQueryText();
   ArmFailpoint("fixpoint.stage", StatusCode::kInternal, "injected fault");
-  EXPECT_FALSE(session.Evaluate(text).ok());
+  for (size_t i = 1; i < QuerySession::kQuarantineThreshold; ++i) {
+    EXPECT_FALSE(session.Evaluate(text).ok());
+  }
   DisarmAllFailpoints();
   EXPECT_TRUE(session.Evaluate(text).ok());  // streak back to zero
   ArmFailpoint("fixpoint.stage", StatusCode::kInternal, "injected fault");
-  EXPECT_FALSE(session.Evaluate(text).ok());
-  // One failure since the success: still below the threshold of 2.
+  for (size_t i = 1; i < QuerySession::kQuarantineThreshold; ++i) {
+    EXPECT_FALSE(session.Evaluate(text).ok());
+  }
+  // Failures since the success stay below the threshold.
   EXPECT_FALSE(session.IsQuarantined(text));
 }
 
@@ -219,7 +215,6 @@ TEST_F(SessionTest, MetricsExportMergesSessionAndEvaluatorFamilies) {
   EXPECT_EQ(snapshot.values.at("session.successes"), 1u);
   EXPECT_EQ(snapshot.values.at("session.retries"), 0u);
   EXPECT_EQ(snapshot.values.at("session.resumes"), 0u);
-  EXPECT_EQ(snapshot.values.at("session.degradations"), 0u);
   EXPECT_EQ(snapshot.values.at("session.quarantined"), 0u);
   // ...merged over the wrapped evaluator's families in one namespace.
   EXPECT_GT(snapshot.values.at("evaluator.node_evaluations"), 0u);
@@ -257,7 +252,6 @@ TEST_F(SessionTest, SetLimitsAppliesToSubsequentQueries) {
   auto ext = MakeArrangementExtension(db);
   SessionOptions options;
   options.max_retries = 0;
-  options.quarantine_threshold = 100;
   QuerySession session(*ext, options);
   ASSERT_TRUE(session.Evaluate(RegionConnQueryText()).ok());
   GovernorLimits strangled;
