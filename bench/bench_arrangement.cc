@@ -1,7 +1,8 @@
 // Experiment T3.1 (DESIGN.md): Theorem 3.1 — the arrangement A(S) of n
 // hyperplanes in R^d is computable in polynomial time, with O(n^d) faces.
 // The benchmark sweeps n for d in {1, 2, 3} and reports wall time, face
-// counts and LP-oracle calls; the paper's claim shows as (a) polynomial
+// counts, three-way splits and closure generators (the build solves no
+// LP); the paper's claim shows as (a) polynomial
 // growth of time with a log-log slope near d+1 or below and (b) face
 // counts matching the O(n^d) combinatorics.
 
@@ -19,15 +20,17 @@ void BM_ArrangementBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t d = static_cast<size_t>(state.range(1));
   auto planes = lcdb::RandomHyperplanes(n, d, 6, /*seed=*/17 * n + d);
-  size_t faces = 0, lp_calls = 0;
+  size_t faces = 0, splits = 0, generators = 0;
   for (auto _ : state) {
     lcdb::Arrangement arr = lcdb::Arrangement::Build(planes, d);
     faces = arr.num_faces();
-    lp_calls = arr.lp_calls();
+    splits = arr.splits();
+    generators = arr.generators();
     benchmark::DoNotOptimize(arr.num_faces());
   }
   state.counters["faces"] = static_cast<double>(faces);
-  state.counters["lp_calls"] = static_cast<double>(lp_calls);
+  state.counters["splits"] = static_cast<double>(splits);
+  state.counters["generators"] = static_cast<double>(generators);
   state.counters["n"] = static_cast<double>(n);
   state.counters["d"] = static_cast<double>(d);
 }
@@ -59,8 +62,8 @@ BENCHMARK(BM_ArrangementBuild)
 /// polynomial *shape* of Theorem 3.1 is visible directly in the output.
 void PrintFaceGrowthTable() {
   std::printf("\nT3.1: face counts / O(n^d) check (random hyperplanes)\n");
-  std::printf("%4s %4s %10s %12s %22s\n", "d", "n", "faces", "lp_calls",
-              "faces growth exponent");
+  std::printf("%4s %4s %10s %8s %11s %22s\n", "d", "n", "faces", "splits",
+              "generators", "faces growth exponent");
   for (size_t d : {1u, 2u}) {
     double prev_faces = 0, prev_n = 0;
     for (size_t n : {4u, 8u, 16u, 32u}) {
@@ -72,8 +75,8 @@ void PrintFaceGrowthTable() {
                     std::log(prev_faces)) /
                    (std::log(static_cast<double>(n)) - std::log(prev_n));
       }
-      std::printf("%4zu %4zu %10zu %12zu %22.2f\n", d, n, arr.num_faces(),
-                  arr.lp_calls(), exponent);
+      std::printf("%4zu %4zu %10zu %8zu %11zu %22.2f\n", d, n,
+                  arr.num_faces(), arr.splits(), arr.generators(), exponent);
       prev_faces = static_cast<double>(arr.num_faces());
       prev_n = static_cast<double>(n);
     }

@@ -17,8 +17,8 @@ namespace lcdb {
 
 /// Memoizing front-end for the LP feasibility oracle — the single choke
 /// point every expensive decision in the system flows through (DNF pruning,
-/// Fourier-Motzkin redundancy elimination, arrangement probes,
-/// decomposition cell tests, semantic implication/equivalence).
+/// Fourier-Motzkin redundancy elimination, decomposition cell tests,
+/// semantic implication/equivalence).
 ///
 /// Systems are canonicalized (constraint/canonical.h) before lookup, so the
 /// same conjunction reaching the oracle from different layers, in different

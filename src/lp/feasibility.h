@@ -20,7 +20,7 @@ struct FeasibilityResult {
 /// epsilon trick: every strict constraint `a.x < b` is tightened to
 /// `a.x + eps <= b`, `eps <= 1` is added, and `eps` is maximized; the system
 /// is feasible iff the optimum is positive. This single oracle underlies
-/// arrangement construction, adjacency tests, and DNF pruning.
+/// adjacency tests, decomposition cells and DNF pruning.
 FeasibilityResult CheckFeasibility(
     size_t num_vars, const std::vector<LinearConstraint>& constraints);
 

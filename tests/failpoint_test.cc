@@ -39,12 +39,19 @@ TEST(FailpointTest, UnarmedSitesCostNothingAndCountNothing) {
 TEST(FailpointTest, ArmDisarmLifecycle) {
   FailpointGuard guard;
   ArmFailpoint("kernel.decide", StatusCode::kInternal, "boom");
+  // The arrangement build decides its splits from closure generators and
+  // never reaches the kernel, so it completes under the armed site.
   ConstraintDatabase db = MakeComb(1, true);
-  EXPECT_THROW(MakeArrangementExtension(db), QueryInterrupt);
+  auto ext = MakeArrangementExtension(db);
+  EXPECT_GT(ext->num_regions(), 0u);
+  EXPECT_EQ(FailpointHitCount("kernel.decide"), 0u);
+  ConstraintKernel kernel;
+  const std::vector<LinearConstraint> system = {
+      LinearConstraint({Rational(1)}, RelOp::kGt, Rational(0))};
+  EXPECT_THROW(kernel.CheckFeasibility(1, system), QueryInterrupt);
   EXPECT_GE(FailpointHitCount("kernel.decide"), 1u);
   DisarmFailpoint("kernel.decide");
-  auto ext = MakeArrangementExtension(db);  // healthy again
-  EXPECT_GT(ext->num_regions(), 0u);
+  EXPECT_TRUE(kernel.CheckFeasibility(1, system).feasible);  // healthy again
 }
 
 TEST(FailpointTest, SkipHitsDelaysTheFailure) {

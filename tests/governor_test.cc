@@ -250,19 +250,36 @@ TEST(GovernorTest, TupleSpaceOptionStillAStatus) {
 TEST(GovernorTest, ExtensionBuildBudgetTripIsAStatus) {
   // The Build* API is the recovery boundary for construction: a budget
   // tripping inside the arrangement's face splits surfaces as a Status
-  // naming the budget, not as an escaping exception.
+  // naming the budget, not as an escaping exception. The build asks the
+  // kernel nothing, so the trips come from what it checks at every
+  // (face, plane) step: the deadline and the cancel flag.
   ConstraintDatabase db = MakeComb(2, true);
-  ConstraintKernel kernel;  // fresh: cached feasibility answers skip budgets
+  {
+    GovernorLimits limits;
+    limits.wall_clock_ms = 0;
+    QueryGovernor governor(limits);
+    ScopedGovernor scoped(governor);
+    auto built = BuildArrangementExtension(db);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kDeadlineExceeded)
+        << built.status().ToString();
+    EXPECT_EQ(governor.stats().tripped_budget, "wall_clock_ms");
+  }
+  {
+    QueryGovernor governor((GovernorLimits()));
+    governor.RequestCancel();
+    ScopedGovernor scoped(governor);
+    auto built = BuildArrangementExtension(db);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kCancelled)
+        << built.status().ToString();
+    EXPECT_EQ(governor.stats().tripped_budget, "cancel");
+  }
+  ConstraintKernel kernel;
   ScopedKernel scoped_kernel(kernel);
-  GovernorLimits limits;
-  limits.max_feasibility_queries = 0;
-  QueryGovernor governor(limits);
-  ScopedGovernor scoped(governor);
   auto built = BuildArrangementExtension(db);
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kResourceExhausted)
-      << built.status().ToString();
-  EXPECT_EQ(governor.stats().tripped_budget, "max_feasibility_queries");
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(kernel.stats().feasibility_queries, 0u);
 }
 
 TEST(GovernorTest, ExtensionBuildWithinBudgetSucceeds) {
