@@ -28,6 +28,9 @@
 //                      per-node measured execution (EXPLAIN ANALYZE)
 //   --explain-bytecode print the register-bytecode disassembly of the
 //                      optimized plan instead of evaluating
+//                      (the three explain modes run one plain evaluation,
+//                      outside the retrying session: combining one with
+//                      --retries or --postmortem is a usage error, exit 1)
 //   --vm               execute on the bytecode VM instead of the plan-tree
 //                      walk (answers are byte-identical; requires the
 //                      optimizer, so combining it with --no-optimize is an
@@ -131,6 +134,7 @@ int main(int argc, char** argv) {
   std::string query_log_path;
   uint64_t sample_rate = 0;
   std::string postmortem_dir;
+  bool retries_given = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--decomposition") == 0) {
       use_decomposition = true;
@@ -175,6 +179,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       retries = std::strtoull(argv[++i], nullptr, 10);
+      retries_given = true;
     } else if (std::strncmp(argv[i], "--failpoint=", 12) == 0) {
       failpoint_spec = argv[i] + 12;
     } else if (std::strncmp(argv[i], "--query-log=", 12) == 0) {
@@ -205,7 +210,24 @@ int main(int argc, char** argv) {
                  "[--failpoint=SITE[:skip_hits]] [--trace=out.json] "
                  "[--query-log=out.jsonl] [--sample-rate=N] "
                  "[--postmortem=DIR]\n"
-                 "       lcdbq <database-file> --conn\n");
+                 "       lcdbq <database-file> --conn\n"
+                 "--explain, --explain-analyze and --explain-bytecode run "
+                 "outside the retrying session and reject --retries and "
+                 "--postmortem.\n");
+    return 1;
+  }
+  const char* explain_flag = explain_bytecode  ? "--explain-bytecode"
+                             : explain_analyze ? "--explain-analyze"
+                             : explain         ? "--explain"
+                                               : nullptr;
+  const char* session_flag = retries_given            ? "--retries"
+                             : !postmortem_dir.empty() ? "--postmortem"
+                                                       : nullptr;
+  if (explain_flag != nullptr && session_flag != nullptr) {
+    std::fprintf(stderr,
+                 "error: %s cannot be combined with %s: the explain modes "
+                 "run one plain evaluation, outside the retrying session\n",
+                 explain_flag, session_flag);
     return 1;
   }
 

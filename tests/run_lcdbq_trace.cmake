@@ -47,6 +47,18 @@ list(LENGTH evaluate_spans evaluate_count)
 if(NOT evaluate_count EQUAL 1)
   message(FATAL_ERROR "expected 1 evaluate span, got ${evaluate_count}")
 endif()
+# The arrangement build decides its splits from closure generators and the
+# region query needs no oracle, so the whole run solves no LP. The build
+# span reports its own cost counters instead.
+string(REGEX MATCHALL "\"name\":\"lp.solve\"" lp_spans "${trace}")
+list(LENGTH lp_spans lp_count)
+if(NOT lp_count EQUAL 0)
+  message(FATAL_ERROR "expected 0 lp.solve spans, got ${lp_count}")
+endif()
+if(NOT trace MATCHES
+   "\"name\":\"arrangement.build\"[^}]*\"splits\":[0-9]+,\"generators\":[0-9]+")
+  message(FATAL_ERROR "arrangement.build lacks splits/generators counters")
+endif()
 # Every event is a complete event with the mandatory fields.
 if(NOT trace MATCHES "\"cat\":\"lcdb\",\"ph\":\"X\"")
   message(FATAL_ERROR "trace lacks complete (ph=X) events")
